@@ -19,7 +19,7 @@ use ptaint_isa::{ARG_BASE, DATA_BASE, STACK_TOP, TEXT_BASE};
 ///
 /// `join` is `max`: a cell is `Clean` only when *every* path leaves it clean,
 /// and `Tainted` when *some* path taints it. Lint findings report `Tainted`
-/// sites; check elision requires `Clean`.
+/// sites; a proven site requires `Clean`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Taint {
     /// No execution reaching this point can carry taint here.

@@ -23,7 +23,7 @@ use crate::domain::{AbsVal, Region, Taint, Value};
 use crate::state::{Ctx, State};
 
 /// Total instruction-transfer budget for the fixpoint; exceeding it marks
-/// the analysis degraded (no elision candidates). Generous: the testbed
+/// the analysis degraded (nothing proven). Generous: the testbed
 /// images are a few hundred instructions and converge within thousands.
 pub const STEP_BUDGET: usize = 2_000_000;
 
@@ -516,7 +516,7 @@ fn load(ctx: &Ctx, st: &State, addr: &Value, width: MemWidth, signed: bool) -> A
         }
         // The argv/envp pointer arrays hold clean words pointing at the
         // (tainted) string bytes; `Unknown` rather than `Clean` because the
-        // band also holds the string bytes themselves (no elision there).
+        // band also holds the string bytes themselves (nothing proven there).
         Value::InRegion(Region::ArgPtrs) => AbsVal {
             taint: Taint::Unknown,
             value: Value::InRegion(Region::ArgStrings),

@@ -14,17 +14,16 @@
 //!   call-chain from the entry point — the ghttpd-style bugs of §5.1.2,
 //!   surfaced before execution;
 //! * a **proven-clean set** ([`Analysis::proven`]): instruction addresses
-//!   whose pointer check can never fire, which the cached execution engine
-//!   uses to elide taint checks (see `ptaint-cpu`); soundness is a
+//!   whose pointer check can never fire; soundness is a
 //!   `Clean`-means-never-tainted claim, argued in docs/ANALYSIS.md and
-//!   enforced by a machine-level differential test.
+//!   enforced by the static↔dynamic gate (every dynamic alert site must be
+//!   statically flagged).
 //!
 //! The analysis is **summary-based** ([`summary`]): each function is
 //! analyzed in its canonical frame, call sites apply the callee's exit
 //! summary instead of havocking, and the per-function fixpoints run on a
 //! deterministic parallel driver ([`parallel`]) scheduled bottom-up over
-//! the static call graph's SCCs ([`callgraph`]). Results can be persisted
-//! in a content-addressed proof cache ([`cache`]).
+//! the static call graph's SCCs ([`callgraph`]).
 //!
 //! ```
 //! use ptaint_asm::assemble;
@@ -36,7 +35,6 @@
 //! assert!(analysis.findings.is_empty());
 //! ```
 
-pub mod cache;
 pub mod callgraph;
 pub mod domain;
 pub mod interp;
@@ -118,9 +116,8 @@ pub struct Analysis {
     pub stats: AnalyzeStats,
     /// Tainted-pointer findings, sorted by address.
     pub findings: Vec<Finding>,
-    /// Addresses of pointer-checked instructions proven clean — the
-    /// elision candidates handed to the decode cache. Empty when the
-    /// analysis is degraded.
+    /// Addresses of pointer-checked instructions proven clean. Empty when
+    /// the analysis is degraded.
     pub proven: BTreeSet<u32>,
     /// Text page indexes targeted by statically visible stores
     /// (self-modifying code); their sites are never proven.

@@ -313,7 +313,7 @@ impl State {
     /// is what lets an attack that corrupts a pointer *in memory* (heap
     /// unlink, `%n` targets) surface as a lint finding instead of hiding
     /// behind the widened pointer. Monotone over [`Taint::Unknown`], so
-    /// the `Clean`/proven verdicts — the elision contract — are untouched.
+    /// the `Clean`/proven verdicts — the soundness contract — are untouched.
     #[must_use]
     pub fn anywhere_taint(&self) -> Taint {
         let mut t = Taint::Unknown;

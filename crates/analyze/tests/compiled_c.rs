@@ -42,7 +42,7 @@ fn clean_array_loop_proves_most_of_the_image() {
     );
 
     // Every function prologue spills $ra/$fp through $sp; those stores are
-    // the bread and butter of elision and must grade Clean at `main`.
+    // the bread and butter of the proven set and must grade Clean at `main`.
     let main_addr = image.symbol("main").unwrap();
     assert!(
         an.proven.contains(&(main_addr + 4)),

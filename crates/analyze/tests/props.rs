@@ -1,18 +1,13 @@
 //! Property tests for the interprocedural analyzer.
 //!
-//! Two contracts are exercised over generated programs:
-//!
-//! * **cache fidelity** — a warm `cache::load` yields an [`Analysis`]
-//!   (ProvenClean set, findings, stats) equal to the cold run's, and the
-//!   rendered lint report is byte-identical; anything less and the elision
-//!   machinery could behave differently on warm and cold boots;
-//! * **summary soundness** — grading a site after a `jal f` (callee
-//!   consumed via its exit summary) is never *less* tainted than grading
-//!   the same site with `f`'s body inlined at the call site. The summary
-//!   path may lose precision (rank higher), never findings.
+//! **Summary soundness** is exercised over generated programs: grading a
+//! site after a `jal f` (callee consumed via its exit summary) is never
+//! *less* tainted than grading the same site with `f`'s body inlined at
+//! the call site. The summary path may lose precision (rank higher), never
+//! findings.
 
 use proptest::prelude::*;
-use ptaint_analyze::{analyze, cache, render_report, Analysis};
+use ptaint_analyze::{analyze, Analysis};
 use ptaint_asm::{assemble, Image};
 
 /// Site classification rank at a pc: `Clean`(proven) < `Unknown` <
@@ -88,42 +83,8 @@ main:   {}probe:  lw $11, 0($8)
     .expect("inline variant assembles")
 }
 
-/// A scratch cache directory unique to this process and image.
-fn scratch_dir(image: &Image) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "ptaint-props-{}-{:016x}",
-        std::process::id(),
-        cache::image_hash(image),
-    ))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Warm-cache loads are indistinguishable from the cold run: the
-    /// parsed [`Analysis`] compares equal and the rendered report (the
-    /// CLI's output, diffed by the `-j1`/`-jN` CI gate) is byte-identical.
-    #[test]
-    fn warm_cache_load_is_byte_identical_to_cold(
-        ops in proptest::collection::vec(0u8..6, 1..12)
-    ) {
-        let image = call_program(&ops);
-        let cold = analyze(&image);
-        let dir = scratch_dir(&image);
-        let _ = std::fs::remove_dir_all(&dir);
-        cache::store(&dir, &image, &cold).expect("store succeeds");
-        let warm = cache::load(&dir, &image)
-            .expect("entry parses")
-            .expect("entry exists");
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(&cold.proven, &warm.proven, "ProvenClean drifted through the cache");
-        prop_assert_eq!(
-            render_report(&image, &cold),
-            render_report(&image, &warm),
-            "rendered report drifted through the cache"
-        );
-        prop_assert_eq!(cold, warm);
-    }
 
     /// Applying `f`'s exit summary at the call site never grades the
     /// post-call probe *cleaner* than inlining `f`'s body: summaries may

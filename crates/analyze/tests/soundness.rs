@@ -1,4 +1,4 @@
-//! Soundness regressions for the proven-clean set (the elision input).
+//! Soundness regressions for the proven-clean set.
 //! Each test encodes a scenario where an earlier analyzer build proved a
 //! site clean that a real execution can reach with a tainted pointer; the
 //! fixed analyzer must leave the site unproven (and flag it).
@@ -10,7 +10,7 @@ use ptaint_asm::assemble;
 /// address — including a mid-block pc that is neither a return site nor a
 /// recognized function entry. The old fallback set missed `mid` here: the
 /// jump's tainted state was never joined there, the fall-through path from
-/// `skip` re-cleans `$9`, and the load was proven clean and elided even
+/// `skip` re-cleans `$9`, and the load was proven clean even
 /// though the computed jump reaches it with `$9` still tainted.
 #[test]
 fn widened_register_jump_reaches_mid_block_sites() {
@@ -58,8 +58,8 @@ mid:    lw    $12, 0($9)
 /// havoc — but the kernel copies byte-wise, so the delivery can cross a
 /// region boundary. Here a 128 KiB read into the (one-page) data segment
 /// spills into the heap; the old single-region havoc left the heap's
-/// static summary clean, so the dereference of a heap word was proven and
-/// elided while a real run delivers attacker bytes there.
+/// static summary clean, so the dereference of a heap word was proven
+/// while a real run delivers attacker bytes there.
 #[test]
 fn oversized_read_taints_every_region_the_span_crosses() {
     let image = assemble(

@@ -5,20 +5,10 @@
 //! forks every trial copy-on-write from one post-boot snapshot; the
 //! `--no-fork` escape hatch reboots each trial from `_start`. The reports
 //! are byte-identical either way, so the gap between the two series is
-//! pure per-trial boot work recovered by forking.
-//!
-//! Two configurations are summarized:
-//!
-//! * **plain** (`*_trials_per_sec` reboot / `*_forked_trials_per_sec`
-//!   forked) — the default machine, where boot is a cheap image load and
-//!   the gap is modest.
-//! * **elided** (`*_elided_trials_per_sec` reboot /
-//!   `*_elided_forked_trials_per_sec` forked) — the paper configuration
-//!   with `--elide-checks`, where every boot re-runs the whole-program
-//!   static taint analysis before the first instruction. Rebooting pays
-//!   that per trial; a fork inherits the proven-clean set from the
-//!   snapshot, so the analysis is paid once per campaign. This is where
-//!   snapshot/fork turns campaigns from minutes into seconds.
+//! pure per-trial boot work recovered by forking (`*_trials_per_sec`
+//! reboot / `*_forked_trials_per_sec` forked). A third series,
+//! `campaign_sharded_trials_per_sec`, runs the ghttpd campaign on the
+//! sharded runner with one worker per available core.
 //!
 //! Besides the criterion groups, the machine-readable summary is written
 //! to `BENCH_campaign.json` at the repository root. Set `BENCH_QUICK=1`
@@ -40,12 +30,6 @@ fn trials() -> u64 {
     }
 }
 
-/// Faulted trials for the elided *reboot* series, where every trial costs
-/// a whole-program analysis: enough runs to average, few enough to keep
-/// the bench finite. (The rate is analysis-dominated, so a short campaign
-/// measures it faithfully.)
-const ELIDED_REBOOT_TRIALS: u64 = 2;
-
 fn quick() -> bool {
     std::env::var_os("BENCH_QUICK").is_some()
 }
@@ -54,7 +38,7 @@ fn quick() -> bool {
 /// (the trend gate's seed, so the summary measures the gated campaign).
 const SEED: u64 = 7;
 
-/// One campaign workload by name, in the default (plain) configuration.
+/// One campaign workload by name.
 fn build(name: &str) -> Machine {
     match name {
         "exp1" => Machine::from_c(synthetic::EXP1_SOURCE)
@@ -85,15 +69,6 @@ fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> f64 {
         best = best.max(runs / elapsed.as_secs_f64());
     }
     best
-}
-
-/// Trials/sec from a single timed campaign (no warmup, no repetition) —
-/// for the analysis-dominated elided reboot series, where repetition
-/// would cost minutes and the rate is stable anyway.
-fn trials_per_sec_once(machine: &Machine, spec: &CampaignSpec) -> f64 {
-    let start = Instant::now();
-    let report = machine.run_campaign(spec);
-    (report.records.len() as f64 + 1.0) / start.elapsed().as_secs_f64()
 }
 
 fn bench_campaigns(c: &mut Criterion) {
@@ -133,43 +108,17 @@ fn bench_campaigns(c: &mut Criterion) {
         fields.push((format!("{name}_trials_per_sec"), reboot_rate));
         fields.push((format!("{name}_forked_trials_per_sec"), forked_rate));
         lines.push(format!(
-            "{name} plain {reboot_rate:.0} reboot / {forked_rate:.0} forked trials/s ({:.1}x)",
+            "{name} {reboot_rate:.0} reboot / {forked_rate:.0} forked trials/s ({:.1}x)",
             forked_rate / reboot_rate
         ));
     }
-    // The elided (paper) configuration: every reboot re-runs the static
-    // analysis, so its reboot series uses a short campaign (the rate is
-    // analysis-dominated) while the forked series runs the full one.
-    let short = CampaignSpec::new(SEED, ELIDED_REBOOT_TRIALS.min(trials()));
-    for name in WORKLOADS {
-        let forked = build(name).elide_checks(true);
-        let rebooted = build(name).elide_checks(true).fork_trials(false);
-        assert_eq!(
-            forked.run_campaign(&short).to_json(),
-            rebooted.run_campaign(&short).to_json(),
-            "{name}: elided forked and rebooted campaigns must be byte-identical"
-        );
-        let reboot_rate = trials_per_sec_once(&rebooted, &short);
-        let forked_rate = trials_per_sec_once(&forked, &spec);
-        fields.push((format!("{name}_elided_trials_per_sec"), reboot_rate));
-        fields.push((format!("{name}_elided_forked_trials_per_sec"), forked_rate));
-        lines.push(format!(
-            "{name} elided {reboot_rate:.1} reboot / {forked_rate:.0} forked trials/s ({:.0}x)",
-            forked_rate / reboot_rate
-        ));
-    }
-    // The sharded runner (campaign engine v2) on the elided ghttpd
-    // campaign — the workload where per-trial cost is highest. The series
-    // measures steady-state scheduler throughput: the machine is
-    // `prepare_analysis()`-warmed first, so the one-time static analysis
-    // (whose cost is what the `_elided_trials_per_sec` reboot series pays
-    // on *every* trial) is amortized out, and each worker shard boots
-    // from a snapshot rather than re-analyzing. On multi-core hosts the
-    // work-stealing shards add core-count scaling on top. Byte-identity
-    // with the sequential report is asserted before timing, so the
-    // comparison is apples-to-apples by construction.
+    // The sharded runner on the ghttpd campaign: each worker shard boots
+    // its own snapshot and steals trials, so on multi-core hosts the rate
+    // scales with the core count. Byte-identity with the sequential report
+    // is asserted before timing, so the comparison is apples-to-apples by
+    // construction.
     {
-        let m = build("ghttpd").elide_checks(true).prepare_analysis();
+        let m = build("ghttpd");
         let jobs = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         let sequential = m.run_campaign(&spec);
         assert_eq!(
@@ -186,7 +135,7 @@ fn bench_campaigns(c: &mut Criterion) {
             best = best.max(runs / start.elapsed().as_secs_f64());
         }
         fields.push(("campaign_sharded_trials_per_sec".to_owned(), best));
-        lines.push(format!("ghttpd elided sharded -j{jobs} {best:.0} trials/s"));
+        lines.push(format!("ghttpd sharded -j{jobs} {best:.0} trials/s"));
     }
     let mut json = format!("{{\"bench\":\"campaign\",\"trials\":{}", trials());
     for (field, rate) in &fields {

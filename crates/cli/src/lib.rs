@@ -27,7 +27,7 @@
 //! The `profile` subcommand (`ptaint-profile`) runs the program with the
 //! hot-loop profiler enabled and prints a top-N report: hot blocks and pcs
 //! (per-PC retirement histogram, symbolized), taint hotspots (the
-//! TaintSource/PointerCheck/Alert/check-elided heatmap by site and
+//! TaintSource/PointerCheck/Alert heatmap by site and
 //! symbol), the per-syscall count/step-latency table, and collapsed call
 //! stacks. `--profile-out FILE` writes the full profile as JSON — counts
 //! only, no wall-clock data, so a deterministic guest profiles
@@ -50,18 +50,10 @@
 //!   --optimize            enable the mini-C peephole optimizer
 //!   --policy P            off | control-only | ptaint     (default: ptaint)
 //!   --engine E            interp | cached                  (default: cached)
-//!   --elide-checks        statically prove check sites clean and skip
-//!                         their taint checks at runtime (cached engine,
-//!                         ptaint policy only)
-//!   -j N, --jobs N        worker threads, for the analysis fixpoint and
+//!   -j N, --jobs N        worker threads, for the `analyze` fixpoint and
 //!                         for `inject` campaign shards (default for the
 //!                         latter: available parallelism); the output is
 //!                         byte-identical for every N (also `-jN`)
-//!   --analysis-cache DIR  content-addressed `ptaint-proofs v1` store: a
-//!                         warm entry keyed by the image hash skips the
-//!                         static fixpoint at boot (and for `analyze`)
-//!   --emit-proofs         (analyze) store the computed proofs into the
-//!                         `--analysis-cache` directory
 //!   --stdin FILE          feed FILE's bytes as standard input (tainted)
 //!   --stdin-text STRING   feed STRING as standard input (tainted)
 //!   --arg STRING          append a command-line argument (repeatable)
@@ -85,8 +77,7 @@
 //!   --faults LIST         (inject) comma-separated fault kinds to sample:
 //!                         short_read,eintr,conn_reset,fragment,data_bit,
 //!                         taint_clear,taint_set,register_bit,cache_line,
-//!                         multi_bit,taint_sweep,decode_slot,proven_flip,
-//!                         proof_cache
+//!                         multi_bit,taint_sweep,decode_slot
 //!   --report FILE         (inject) write the campaign JSON to FILE instead
 //!                         of stdout
 //!   --journal-out FILE    record the run's syscall journal (results and
@@ -108,14 +99,10 @@
 //!
 //! The process exit code is the guest's exit status; detections exit 42;
 //! usage, read, and build errors exit 2, including an unreadable or
-//! malformed `--journal` file and — for `analyze` — an unreadable or
-//! corrupt `--analysis-cache` entry (the corrupt entry is re-analyzed
-//! cold and the report still printed, never a panic, but the exit code
-//! reports the bad cache and takes priority over exit 3); `analyze`
-//! findings exit 3; a failure to write a requested artifact
-//! (`--trace-out`, `--metrics-out`, `--profile-out`, `--report`,
-//! `--journal-out`, `--emit-proofs`) exits 4 so scripts never mistake
-//! lost data for success.
+//! malformed `--journal` file; `analyze` findings exit 3; a failure to
+//! write a requested artifact (`--trace-out`, `--metrics-out`,
+//! `--profile-out`, `--report`, `--journal-out`) exits 4 so scripts never
+//! mistake lost data for success.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -178,14 +165,9 @@ pub struct Options {
     /// Execution engine (predecoded cache by default; `interp` keeps the
     /// legacy interpreter available as the differential oracle).
     pub engine: Option<Engine>,
-    /// Skip taint checks at statically proven-clean sites.
-    pub elide_checks: bool,
-    /// Analysis proof-cache directory (`--analysis-cache`).
-    pub analysis_cache: Option<String>,
-    /// Analysis fixpoint worker threads (`-j` / `--jobs`).
+    /// Worker threads for the `analyze` fixpoint and `inject` campaign
+    /// shards (`-j` / `--jobs`).
     pub jobs: Option<usize>,
-    /// Store the computed proofs into the cache (`analyze --emit-proofs`).
-    pub emit_proofs: bool,
     /// Stdin bytes.
     pub stdin: Vec<u8>,
     /// Guest argv (the program name is prepended automatically).
@@ -321,7 +303,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
         match arg.as_str() {
             "--asm" => opts.asm = true,
             "--optimize" => opts.optimize = true,
-            "--elide-checks" => opts.elide_checks = true,
             "--caches" => opts.caches = true,
             "--pipeline" => opts.pipeline = true,
             "--disasm" => opts.disasm = true,
@@ -444,10 +425,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                     .ok_or_else(|| UsageError(format!("bad metrics interval `{v}`")))?;
                 opts.metrics_interval = Some(n);
             }
-            "--analysis-cache" => {
-                opts.analysis_cache = Some(value(&mut it, "--analysis-cache")?);
-            }
-            "--emit-proofs" => opts.emit_proofs = true,
             "-j" | "--jobs" => {
                 let v = value(&mut it, "--jobs")?;
                 opts.jobs = Some(
@@ -499,11 +476,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
     if (opts.profile || opts.profile_out.is_some()) && opts.pipeline {
         return Err(UsageError(
             "`--pipeline` cannot be profiled (the profiler rides the functional engine)".into(),
-        ));
-    }
-    if opts.emit_proofs && (!opts.analyze || opts.analysis_cache.is_none()) {
-        return Err(UsageError(
-            "`--emit-proofs` belongs to the `analyze` subcommand and needs `--analysis-cache DIR` to store into".into(),
         ));
     }
     if opts.replay && opts.journal_in.is_none() {
@@ -572,9 +544,6 @@ pub fn build_machine(opts: &Options, source: &str) -> Result<Machine, UsageError
     if let Some(engine) = opts.engine {
         machine = machine.engine(engine);
     }
-    if opts.elide_checks {
-        machine = machine.elide_checks(true);
-    }
     if opts.caches {
         machine = machine.hierarchy(ptaint::HierarchyConfig::two_level());
     }
@@ -595,12 +564,6 @@ pub fn build_machine(opts: &Options, source: &str) -> Result<Machine, UsageError
     }
     if opts.no_fork {
         machine = machine.fork_trials(false);
-    }
-    if let Some(dir) = &opts.analysis_cache {
-        machine = machine.analysis_cache(dir);
-    }
-    if let Some(jobs) = opts.jobs {
-        machine = machine.analysis_jobs(jobs);
     }
     Ok(machine)
 }
@@ -787,68 +750,16 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
     (report, code)
 }
 
-/// The `analyze` subcommand: prints the static lint report, optionally
-/// loading from / storing into a `--analysis-cache` directory.
-///
-/// Exit-code contract (the `--help` table): findings exit 3; an
-/// unreadable or corrupt cache entry falls back to a cold analysis — the
-/// report is still printed, never a panic — but exits 2 so scripts learn
-/// the cache needs regenerating (`--emit-proofs`); a failed
-/// `--emit-proofs` write exits [`EXIT_ARTIFACT`]. Exit 2 takes priority
-/// over 4, which takes priority over 3.
+/// The `analyze` subcommand: prints the static lint report. Findings
+/// exit 3.
 fn run_analyze_cli(opts: &Options, machine: &Machine) -> (String, i32) {
     let image = machine.image();
-    let mut report = String::new();
-    let mut cache_corrupt = false;
-    let mut cached = None;
-    if let Some(dir) = &opts.analysis_cache {
-        match ptaint::proof_cache::load(std::path::Path::new(dir), image) {
-            Ok(hit) => cached = hit,
-            Err(e) => {
-                let _ = writeln!(
-                    report,
-                    "--- analysis cache: entry unusable, re-analyzing cold: {e}"
-                );
-                cache_corrupt = true;
-            }
-        }
-    }
-    let from_cache = cached.is_some();
-    let analysis = cached.unwrap_or_else(|| match opts.jobs {
+    let analysis = match opts.jobs {
         Some(jobs) => ptaint::analyze_with(image, jobs),
         None => ptaint::analyze(image),
-    });
-    let mut emit_failed = false;
-    if opts.emit_proofs {
-        if let Some(dir) = &opts.analysis_cache {
-            match ptaint::proof_cache::store(std::path::Path::new(dir), image, &analysis) {
-                Ok(path) if !opts.quiet => {
-                    let _ = writeln!(report, "--- proofs: wrote {}", path.display());
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    let _ = writeln!(report, "--- proofs: cannot write into `{dir}`: {e}");
-                    emit_failed = true;
-                }
-            }
-        }
-    }
-    if from_cache && !opts.quiet {
-        let _ = writeln!(
-            report,
-            "--- analysis cache: loaded proofs for image {:016x}",
-            ptaint::proof_cache::image_hash(image)
-        );
-    }
-    report.push_str(&ptaint::render_report(image, &analysis));
-    let code = if cache_corrupt {
-        2
-    } else if emit_failed {
-        EXIT_ARTIFACT
-    } else {
-        i32::from(analysis.stats.flagged_sites > 0) * 3
     };
-    (report, code)
+    let code = i32::from(analysis.stats.flagged_sites > 0) * 3;
+    (ptaint::render_report(image, &analysis), code)
 }
 
 /// The `inject` subcommand: runs a seeded campaign and emits the JSON
@@ -981,6 +892,10 @@ mod tests {
         assert!(parse(&["a.c", "--steps", "NaN"]).is_err());
         assert!(parse(&["a.c", "--engine"]).is_err());
         assert!(parse(&["a.c", "--engine", "jit"]).is_err());
+        // There is no check elision and no proof store to configure.
+        assert!(parse(&["a.c", "--elide-checks"]).is_err());
+        assert!(parse(&["a.c", "--analysis-cache", "d"]).is_err());
+        assert!(parse(&["analyze", "a.c", "--emit-proofs"]).is_err());
     }
 
     #[test]
@@ -1098,71 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_proofs_needs_analyze_and_a_cache_dir() {
-        assert!(parse(&["p.c", "--emit-proofs"]).is_err());
-        assert!(parse(&["analyze", "p.c", "--emit-proofs"]).is_err());
-        assert!(parse(&["p.c", "--emit-proofs", "--analysis-cache", "d"]).is_err());
-        let opts = parse(&["analyze", "p.c", "--emit-proofs", "--analysis-cache", "d"]).unwrap();
-        assert!(opts.emit_proofs);
-        assert_eq!(opts.analysis_cache.as_deref(), Some("d"));
-        // A plain run may still point at a cache without emitting.
-        let opts = parse(&["p.c", "--analysis-cache", "d"]).unwrap();
-        assert!(!opts.emit_proofs);
-        assert_eq!(opts.analysis_cache.as_deref(), Some("d"));
-    }
-
-    #[test]
-    fn analyze_cache_round_trips_and_survives_corruption() {
-        let dir = std::env::temp_dir().join("ptaint-cli-analysis-cache-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_s = dir.to_string_lossy().into_owned();
-        let source = "int main() { return 0; }";
-
-        // Cold run with --emit-proofs populates the cache and exits 0.
-        let mut cold =
-            parse(&["analyze", "p.c", "--emit-proofs", "--analysis-cache", "d"]).unwrap();
-        cold.analysis_cache = Some(dir_s.clone());
-        let machine = build_machine(&cold, source).unwrap();
-        let (cold_report, code) = run_machine(&cold, &machine);
-        assert_eq!(code, 0, "{cold_report}");
-        assert!(cold_report.contains("--- proofs: wrote"), "{cold_report}");
-        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
-        assert!(entry.path().extension().is_some_and(|e| e == "proofs"));
-
-        // Warm run loads the entry and renders the identical lint report.
-        let mut warm = parse(&["analyze", "p.c"]).unwrap();
-        warm.analysis_cache = Some(dir_s.clone());
-        let (warm_report, code) = run_machine(&warm, &machine);
-        assert_eq!(code, 0, "{warm_report}");
-        assert!(
-            warm_report.contains("--- analysis cache: loaded"),
-            "{warm_report}"
-        );
-        let lint = |r: &str| {
-            r.lines()
-                .skip_while(|l| l.starts_with("---"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            lint(&cold_report),
-            lint(&warm_report),
-            "warm report must match cold byte-for-byte"
-        );
-
-        // A corrupt entry falls back to a cold analysis (the report is
-        // still rendered) but the exit code reports the bad cache: 2,
-        // taking priority over exit-3-on-findings. Never a panic.
-        std::fs::write(entry.path(), "ptaint-proofs v1\ngarbage\n").unwrap();
-        let (report, code) = run_machine(&warm, &machine);
-        assert_eq!(code, 2, "{report}");
-        assert!(report.contains("entry unusable"), "{report}");
-        assert!(report.contains("ptaint-analyze report"), "{report}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn analyze_jobs_output_is_thread_count_independent() {
         let source = r#"int main() {
             char buf[8];
@@ -1181,36 +1031,6 @@ mod tests {
             report_one, report_four,
             "-j1 and -j4 must render byte-identical reports"
         );
-    }
-
-    #[test]
-    fn emit_proofs_write_failure_exits_4() {
-        let mut opts = parse(&["analyze", "p.c"]).unwrap();
-        opts.emit_proofs = true;
-        opts.analysis_cache = Some("/proc/nonexistent-dir/cache".into());
-        let machine = build_machine(&opts, "int main() { return 0; }").unwrap();
-        let (report, code) = run_machine(&opts, &machine);
-        assert_eq!(code, EXIT_ARTIFACT, "{report}");
-        assert!(report.contains("cannot write"), "{report}");
-    }
-
-    #[test]
-    fn run_mode_uses_the_analysis_cache_at_boot() {
-        let dir = std::env::temp_dir().join("ptaint-cli-run-cache-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        // The boot-time analysis runs for `--elide-checks` (the proofs
-        // back the elided sites), so that is the run mode that exercises
-        // the cache.
-        let mut opts = parse(&["p.c", "--quiet", "--elide-checks"]).unwrap();
-        opts.analysis_cache = Some(dir.to_string_lossy().into_owned());
-        let machine = build_machine(&opts, "int main() { return 7; }").unwrap();
-        // First boot is cold and populates the cache; second boots warm.
-        let (_, code) = run_machine(&opts, &machine);
-        assert_eq!(code, 7);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        let (_, code) = run_machine(&opts, &machine);
-        assert_eq!(code, 7);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1233,15 +1053,6 @@ mod tests {
 
         // A bare `analyze` still reports the missing program.
         assert!(parse(&["analyze"]).unwrap_err().0.contains("no program"));
-    }
-
-    #[test]
-    fn elide_checks_flag_reaches_the_machine() {
-        let opts = parse(&["p.c", "--elide-checks", "--quiet"]).unwrap();
-        assert!(opts.elide_checks);
-        let machine = build_machine(&opts, "int main() { return 5; }").unwrap();
-        let (report, code) = run_machine(&opts, &machine);
-        assert_eq!(code, 5, "{report}");
     }
 
     #[test]

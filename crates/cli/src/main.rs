@@ -36,16 +36,9 @@ fn main() -> ExitCode {
              --optimize           peephole-optimize the generated code\n\
              --policy P           off | control-only | ptaint (default)\n\
              --engine E           interp | cached (default)\n\
-             --elide-checks       skip taint checks at statically proven\n\
-                                  clean sites (ptaint policy only)\n\
              -j N, --jobs N       worker threads: analysis fixpoint and\n\
                                   inject campaign shards (also -jN);\n\
                                   byte-identical output for any N\n\
-             --analysis-cache DIR ptaint-proofs v1 store keyed by image\n\
-                                  hash; a warm entry skips the static\n\
-                                  fixpoint at boot and under `analyze`\n\
-             --emit-proofs        (analyze) store the computed proofs into\n\
-                                  the --analysis-cache directory\n\
              --stdin FILE         stdin bytes from FILE (tainted)\n\
              --stdin-text STRING  stdin bytes inline (tainted)\n\
              --arg S / --env K=V  guest argv / environment (repeatable)\n\
@@ -81,13 +74,9 @@ fn main() -> ExitCode {
              \n\
              exit code: guest status; 42 on a security detection; 2 on\n\
              usage/read/build errors, including a missing or malformed\n\
-             --journal file and, under `analyze`, an unreadable or corrupt\n\
-             --analysis-cache entry (the entry is re-analyzed cold and the\n\
-             report still printed — never a panic — but the exit code\n\
-             reports the bad cache, taking priority over 3); 3 on analyze\n\
-             findings; 4 when a requested artifact file (--trace-out,\n\
-             --metrics-out, --profile-out, --report, --journal-out, or an\n\
-             --emit-proofs entry) cannot be written"
+             --journal file; 3 on analyze findings; 4 when a requested\n\
+             artifact file (--trace-out, --metrics-out, --profile-out,\n\
+             --report, --journal-out) cannot be written"
         );
         return ExitCode::SUCCESS;
     }

@@ -60,8 +60,7 @@ pub use machine::{Machine, MachineSnapshot};
 
 // The user-facing vocabulary, re-exported from the substrate crates.
 pub use ptaint_analyze::{
-    analyze, analyze_with, cache as proof_cache, render_report, Analysis, AnalyzeStats, Finding,
-    SiteKind,
+    analyze, analyze_with, render_report, Analysis, AnalyzeStats, Finding, SiteKind,
 };
 pub use ptaint_asm::{assemble, disassemble, AsmError, Image};
 pub use ptaint_cc::compile;

@@ -7,7 +7,7 @@ use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
 use ptaint_cpu::{Cpu, DetectionPolicy, Engine, TaintRules};
 use ptaint_guest::BuildError;
-use ptaint_inject::{CampaignReport, CampaignSpec, Fault, FaultKind, StateInjector, TrialRun};
+use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
     load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
@@ -40,14 +40,7 @@ pub struct Machine {
     watchdog: Option<Duration>,
     trace_depth: Option<usize>,
     engine: Engine,
-    elide_checks: bool,
     fork_trials: bool,
-    analysis_cache: Option<std::path::PathBuf>,
-    analysis_jobs: Option<usize>,
-    /// Memoized `(analysis, cached)` result shared across clones — populated
-    /// by the sharded campaign runner so per-worker boots don't each re-run
-    /// the static analysis.
-    prepared_analysis: Option<std::sync::Arc<(ptaint_analyze::Analysis, bool)>>,
 }
 
 impl Machine {
@@ -96,11 +89,7 @@ impl Machine {
             watchdog: None,
             trace_depth: None,
             engine: Engine::default(),
-            elide_checks: false,
             fork_trials: true,
-            analysis_cache: None,
-            analysis_jobs: None,
-            prepared_analysis: None,
         }
     }
 
@@ -134,45 +123,6 @@ impl Machine {
             .symbol(name)
             .unwrap_or_else(|| panic!("no such symbol `{name}` to annotate"));
         self.watches.push((addr, len, name.to_owned()));
-        self
-    }
-
-    /// Enables static check elision: each boot runs the
-    /// [`ptaint_analyze`] taint dataflow over the image and hands the
-    /// proven-clean sites to the cached engine, which then skips the
-    /// pointer-taintedness probe at those sites.
-    ///
-    /// Elision is armed only under the exact configuration the analysis
-    /// models — [`DetectionPolicy::PointerTaintedness`] with the paper's
-    /// [`TaintRules::PAPER`] — and only the cached engine consults the
-    /// proven set (the interpreter stays the unelided oracle). Any store
-    /// into the text segment voids the whole set for the rest of the run.
-    #[must_use]
-    pub fn elide_checks(mut self, on: bool) -> Machine {
-        self.elide_checks = on;
-        self
-    }
-
-    /// Points boots at a persistent analysis-proof cache directory
-    /// (`ptaint-proofs v1` entries, content-addressed by image hash): a
-    /// warm boot loads the proven set in milliseconds instead of re-running
-    /// the whole-program fixpoint, and a cold boot stores its result for
-    /// the next one. A corrupt or unreadable entry is reported on stderr
-    /// and falls back to cold analysis — it never panics and never
-    /// silently serves stale proofs (the content hash covers the analyzer
-    /// version and every image byte).
-    #[must_use]
-    pub fn analysis_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Machine {
-        self.analysis_cache = Some(dir.into());
-        self
-    }
-
-    /// Sets the static-analysis worker count (default:
-    /// [`ptaint_analyze::default_jobs`]). The analysis result is
-    /// byte-identical for any value; this only trades wall-clock time.
-    #[must_use]
-    pub fn analysis_jobs(mut self, jobs: usize) -> Machine {
-        self.analysis_jobs = Some(jobs.max(1));
         self
     }
 
@@ -258,83 +208,7 @@ impl Machine {
         for (addr, len, label) in &self.watches {
             cpu.add_taint_watch(*addr, *len, label.clone());
         }
-        if self.elision_armed() {
-            let (analysis, cached) = self.analysis();
-            if cpu.has_observer() {
-                cpu.emit_event(&Event::StaticAnalysis {
-                    functions: analysis.stats.functions as u64,
-                    blocks: analysis.stats.blocks as u64,
-                    proven: analysis.proven.len() as u64,
-                    flagged: analysis.stats.flagged_sites as u64,
-                    cached,
-                });
-            }
-            // Watch the whole analyzed program — text *plus* the loader's
-            // exit stub, which the analyzer treats as code — not just the
-            // pages the decode cache has predecoded: a store into a
-            // never-executed text (or stub) page must still void the proven
-            // set before it can mislead anyone. Without the stub bytes, a
-            // text segment that is an exact page multiple would leave the
-            // stub on an unwatched page.
-            cpu.mem_mut().watch_code_range(
-                self.image.text_base,
-                self.image.text.len() as u32 * 4 + ptaint_os::EXIT_STUB_BYTES,
-            );
-            cpu.install_proven_checks(analysis.proven.iter().copied());
-        }
         (cpu, os)
-    }
-
-    /// Eagerly runs (and memoizes) the static analysis this machine's
-    /// boots would perform, so every subsequent boot — including each
-    /// campaign shard worker's snapshot — reuses the result instead of
-    /// re-analyzing. Clones share the memo. A no-op when elision is not
-    /// armed (plain boots never consult the analysis).
-    #[must_use]
-    pub fn prepare_analysis(mut self) -> Machine {
-        if self.elision_armed() && self.prepared_analysis.is_none() {
-            self.prepared_analysis = Some(std::sync::Arc::new(self.analysis()));
-        }
-        self
-    }
-
-    /// Whether boots of this machine arm static check elision — the exact
-    /// configuration the analysis models (pointer-taintedness policy under
-    /// the paper's taint rules).
-    fn elision_armed(&self) -> bool {
-        self.elide_checks
-            && self.policy == DetectionPolicy::PointerTaintedness
-            && self.rules == TaintRules::PAPER
-    }
-
-    /// Produces the image's static analysis per the builder's cache and
-    /// worker settings, reporting whether it was served from the proof
-    /// cache. A cold run stores its result when a cache directory is set;
-    /// a corrupt entry warns on stderr and falls back to cold analysis.
-    #[must_use]
-    pub fn analysis(&self) -> (ptaint_analyze::Analysis, bool) {
-        if let Some(prepared) = &self.prepared_analysis {
-            return (prepared.0.clone(), prepared.1);
-        }
-        if let Some(dir) = &self.analysis_cache {
-            match ptaint_analyze::cache::load(dir, &self.image) {
-                Ok(Some(a)) => return (a, true),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("warning: analysis cache entry unusable, re-analyzing: {e}");
-                }
-            }
-        }
-        let a = match self.analysis_jobs {
-            Some(jobs) => ptaint_analyze::analyze_with(&self.image, jobs),
-            None => ptaint_analyze::analyze(&self.image),
-        };
-        if let Some(dir) = &self.analysis_cache {
-            if let Err(e) = ptaint_analyze::cache::store(dir, &self.image, &a) {
-                eprintln!("warning: analysis cache entry not written: {e}");
-            }
-        }
-        (a, false)
     }
 
     /// Boots a fresh instance and runs it to completion.
@@ -350,9 +224,6 @@ impl Machine {
     /// classifier consumes.
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        if fault.kind == FaultKind::ProofCache {
-            return self.run_proof_cache_trial(fault);
-        }
         let (mut cpu, mut os) = self.boot();
         os.set_io_faults(fault.io_plan());
         let mut injector = StateInjector::new(*fault);
@@ -362,64 +233,6 @@ impl Machine {
             io_calls: os.io_call_count(),
             applied: injector.applied().map(str::to_owned),
         }
-    }
-
-    /// A [`FaultKind::ProofCache`] trial: flip one salt-chosen bit of the
-    /// on-disk `ptaint-proofs v1` entry *before* boot, then run normally.
-    /// The corrupted copy lives in a private temp directory so the real
-    /// cache (shared by concurrent trials) is never touched. The entry's
-    /// content checksum makes the corrupt load fail, which the boot path
-    /// reports on stderr and survives by re-running the cold analysis —
-    /// that graceful fallback is exactly what this fault class probes. The
-    /// fault is inert (a plain fault-free run) when the machine has no
-    /// proof cache configured, elision is not armed, or no entry exists
-    /// yet on disk.
-    fn run_proof_cache_trial(&self, fault: &Fault) -> TrialRun {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-        let entry = self.analysis_cache.as_ref().and_then(|dir| {
-            let path = ptaint_analyze::cache::path_for(dir, &self.image);
-            std::fs::read(path).ok()
-        });
-        let (Some(mut bytes), true) = (entry, self.elision_armed()) else {
-            // Inert: nothing persistent to corrupt. Run fault-free.
-            let (mut cpu, mut os) = self.boot();
-            let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-            return TrialRun {
-                outcome,
-                io_calls: os.io_call_count(),
-                applied: None,
-            };
-        };
-
-        let total = (bytes.len() as u64) * 8;
-        let bit = ptaint_inject::SplitMix64::new(fault.salt).below(total.max(1));
-        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-
-        let tmp = std::env::temp_dir().join(format!(
-            "ptaint-proofcache-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::create_dir_all(&tmp).expect("proof-cache fault temp dir");
-        std::fs::write(ptaint_analyze::cache::path_for(&tmp, &self.image), bytes)
-            .expect("proof-cache fault entry copy");
-
-        let mut victim = self.clone();
-        victim.analysis_cache = Some(tmp.clone());
-        victim.prepared_analysis = None;
-        let (mut cpu, mut os) = victim.boot();
-        cpu.note_injected_fault();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        let run = TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
-            // Deterministic and path-free, so reports shard-merge cleanly.
-            applied: Some(format!("proofs entry bit {bit} of {total} flipped")),
-        };
-        let _ = std::fs::remove_dir_all(&tmp);
-        run
     }
 
     /// Selects how [`Machine::run_campaign`] provisions each trial
@@ -498,25 +311,26 @@ impl Machine {
         if self.fork_trials {
             let snap = self.snapshot();
             return ptaint_inject::run_campaign(spec, |fault| match fault {
-                // Proof-cache corruption happens *before* boot, so it can
-                // never ride a post-boot fork — reboot that trial instead.
-                Some(f) if f.kind == FaultKind::ProofCache => self.run_injected(f),
                 Some(f) => snap.run_injected(f),
                 None => snap.run(),
             });
         }
         ptaint_inject::run_campaign(spec, |fault| match fault {
             Some(f) => self.run_injected(f),
-            None => {
-                let (mut cpu, mut os) = self.boot();
-                let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-                TrialRun {
-                    outcome,
-                    io_calls: os.io_call_count(),
-                    applied: None,
-                }
-            }
+            None => self.run_trial(),
         })
+    }
+
+    /// Boots a fresh instance and runs it fault-free — the rebooted
+    /// baseline trial of a campaign.
+    fn run_trial(&self) -> TrialRun {
+        let (mut cpu, mut os) = self.boot();
+        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
+        TrialRun {
+            outcome,
+            io_calls: os.io_call_count(),
+            applied: None,
+        }
     }
 
     /// The sharded counterpart of [`Machine::run_campaign`]: trials are
@@ -526,65 +340,20 @@ impl Machine {
     /// counter. Records merge in trial order, so the report is
     /// **byte-identical** to the single-threaded one for the same spec —
     /// `jobs <= 1` simply delegates to [`Machine::run_campaign`].
-    ///
-    /// When elision is armed the static analysis is memoized once up
-    /// front and shared read-only with every worker, so the per-worker
-    /// boot cost is a snapshot, not a re-analysis.
     #[must_use]
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
         if jobs <= 1 {
             return self.run_campaign(spec);
         }
-        let prepared = self.clone().prepare_analysis();
-        let m = &prepared;
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
-            let snap = m.fork_trials.then(|| m.snapshot());
+            let snap = self.fork_trials.then(|| self.snapshot());
             move |fault: Option<&Fault>| match (fault, &snap) {
-                (Some(f), _) if f.kind == FaultKind::ProofCache => m.run_injected(f),
                 (Some(f), Some(snap)) => snap.run_injected(f),
-                (Some(f), None) => m.run_injected(f),
+                (Some(f), None) => self.run_injected(f),
                 (None, Some(snap)) => snap.run(),
-                (None, None) => {
-                    let (mut cpu, mut os) = m.boot();
-                    let outcome = run_to_exit_with(&mut cpu, &mut os, m.limits(), &mut ());
-                    TrialRun {
-                        outcome,
-                        io_calls: os.io_call_count(),
-                        applied: None,
-                    }
-                }
+                (None, None) => self.run_trial(),
             }
         })
-    }
-
-    /// Runs twice under the cached engine — once with every check executed,
-    /// once with statically proven checks elided — and asserts the two runs
-    /// are bit-identical in everything guest-visible: exit reason (including
-    /// any security alert), stdout/stderr, network transcripts, and the
-    /// retired-instruction statistics (engine-activity counters normalized
-    /// away with [`ExecStats::without_decode_cache`](ptaint_cpu::ExecStats::without_decode_cache)).
-    ///
-    /// Returns the elided outcome so callers can make scenario-specific
-    /// assertions (e.g. that elision actually fired).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the runs diverge — i.e. when the static analysis proved
-    /// a site clean that was not.
-    #[must_use]
-    pub fn run_elision_differential(&self) -> RunOutcome {
-        let full = self.clone().elide_checks(false).run();
-        let elided = self.clone().elide_checks(true).run();
-        assert_eq!(
-            full.stats.elided_checks, 0,
-            "elision leaked into the oracle"
-        );
-        let mut a = full;
-        a.stats = a.stats.without_decode_cache();
-        let mut b = elided.clone();
-        b.stats = b.stats.without_decode_cache();
-        assert_eq!(a, b, "check elision changed observable behaviour");
-        elided
     }
 
     /// Boots a fresh instance and runs it through the 5-stage pipeline
@@ -719,7 +488,7 @@ impl Machine {
 /// yields an independent `(Cpu, Os)` pair whose memory shares pages with
 /// the snapshot until written (see `ptaint_mem`'s COW model); kernel state
 /// is copied outright (it is small), and the decode cache is rebuilt on
-/// demand with a private copy of the proven-clean set, so a forked run is
+/// demand, so a forked run is
 /// bit-identical to a fresh boot of the same machine — stats, traces, and
 /// campaign reports included.
 #[derive(Debug)]
@@ -887,70 +656,6 @@ mod tests {
             cached.stats.without_decode_cache(),
             interp.stats.without_decode_cache()
         );
-    }
-
-    #[test]
-    fn elision_skips_checks_and_preserves_behaviour() {
-        let m = Machine::from_c(
-            r#"int main() {
-                int i; int s = 0;
-                int a[32];
-                for (i = 0; i < 32; i++) a[i] = i;
-                for (i = 0; i < 32; i++) s += a[i];
-                return s & 0x7f;
-            }"#,
-        )
-        .unwrap();
-        let elided = m.run_elision_differential();
-        assert!(
-            elided.stats.elided_checks > 0,
-            "an all-clean loop should elide its array accesses: {:?}",
-            elided.stats
-        );
-    }
-
-    #[test]
-    fn elision_watch_covers_the_exit_stub_page() {
-        use ptaint_isa::PAGE_SIZE;
-        use ptaint_mem::WordTaint;
-
-        // Pad text to an exact page multiple so the loader's exit stub
-        // starts on its own page; a store patching the stub before it is
-        // ever executed must still dirty a watched page (and hence void
-        // the proven set), or the analyzed exit path and the running
-        // program could silently diverge.
-        let body = "nop\n".repeat(PAGE_SIZE as usize / 4 - 1);
-        let m = Machine::from_asm(&format!("main: {body} jr $31"))
-            .unwrap()
-            .elide_checks(true);
-        assert_eq!(m.image().text.len() as u32 * 4 % PAGE_SIZE, 0);
-        let (mut cpu, _os) = m.boot();
-        assert!(cpu.has_proven_checks());
-        let stub = m.image().text_end();
-        cpu.mem_mut().write_u32(stub, 0, WordTaint::CLEAN).unwrap();
-        assert!(
-            cpu.mem().has_dirty_code_pages(),
-            "store into the exit stub went unwatched"
-        );
-    }
-
-    #[test]
-    fn elision_stays_off_under_other_policies_and_rules() {
-        let m = Machine::from_c("int main() { int a[4]; a[1] = 2; return a[1]; }").unwrap();
-        let baseline = m
-            .clone()
-            .policy(DetectionPolicy::ControlOnly)
-            .elide_checks(true)
-            .run();
-        assert_eq!(baseline.stats.elided_checks, 0, "gate: policy mismatch");
-        let ablated = m
-            .taint_rules(TaintRules {
-                compare_untaints: false,
-                ..TaintRules::PAPER
-            })
-            .elide_checks(true)
-            .run();
-        assert_eq!(ablated.stats.elided_checks, 0, "gate: rules mismatch");
     }
 
     #[test]

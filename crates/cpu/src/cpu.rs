@@ -171,10 +171,6 @@ pub struct Cpu {
     last_step_tainted: bool,
     engine: Engine,
     dcache: DecodeCache,
-    // Set once the decode-cache integrity machinery trips: all proofs are
-    // dropped, elision is off, and every check runs in full for the rest of
-    // the run (fail safe, not silent).
-    degraded: bool,
     // Hot-loop profiler (per-PC histogram + shadow call stack). Boxed so the
     // disabled case costs one `None` branch per retire and nothing in cache
     // footprint; identical across engines because both funnel through
@@ -183,9 +179,8 @@ pub struct Cpu {
 }
 
 /// Instructions between periodic decode-cache integrity sweeps on the
-/// cached engine. Each sweep compares every cached page's ProvenClean
-/// bitmap against its replica and recomputes one page's slot checksum
-/// (round-robin), so the amortized cost is a few dozen word compares.
+/// cached engine. Each sweep recomputes one page's slot checksum
+/// (round-robin): one page of hashing per 2^14 steps.
 const INTEGRITY_STRIDE: u64 = 1 << 14;
 
 impl fmt::Debug for Cpu {
@@ -219,7 +214,6 @@ impl Cpu {
             last_step_tainted: false,
             engine: Engine::default(),
             dcache: DecodeCache::new(),
-            degraded: false,
             profiler: None,
         }
     }
@@ -560,53 +554,18 @@ impl Cpu {
         }
     }
 
-    /// Installs the static analyzer's proven-clean set: instruction
-    /// addresses whose pointer-taintedness check can never fire, which the
-    /// cached engine then skips ([`ExecStats::elided_checks`] counts them).
-    /// Soundness is the analyzer's contract; the machine layer only
-    /// installs a set produced for the exact image, policy, and taint
-    /// rules being run. Any store into watched text (self-modifying code)
-    /// drops the whole set for the rest of the run.
-    pub fn install_proven_checks(&mut self, pcs: impl IntoIterator<Item = u32>) {
-        self.dcache.install_proven(pcs);
-    }
-
-    /// Whether a proven-clean set is installed and still valid (it is
-    /// dropped wholesale on the first self-modifying-code invalidation).
-    #[must_use]
-    pub fn has_proven_checks(&self) -> bool {
-        self.dcache.has_proven()
-    }
-
-    /// Whether the decode-cache integrity machinery has tripped: all
-    /// proofs dropped, elision disabled, every check running in full for
-    /// the rest of the run.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Enters degraded mode: drops every cached page and every proof,
-    /// bumps [`ExecStats::integrity_failures`], emits a
-    /// [`Event::DegradedMode`] trace event, and keeps executing with all
-    /// checks in force. Corrupted elision state fails safe, never silent.
+    /// Drops every decoded page after the integrity sweep caught a
+    /// corrupted slot: bumps [`ExecStats::integrity_failures`], emits a
+    /// [`Event::DegradedMode`] trace event, and keeps executing; the next
+    /// lookups miss and refill from authoritative memory.
     fn degrade(&mut self, reason: &str) {
         self.stats.integrity_failures += 1;
-        self.degraded = true;
-        self.dcache.degrade();
+        self.dcache.drop_all();
         if self.observer.is_some() {
             self.emit_event(&Event::DegradedMode {
                 reason: reason.to_owned(),
             });
         }
-    }
-
-    /// Fault-injection hook: flips one bit in the *primary* ProvenClean
-    /// bitmap of a cached decode page, bypassing the replica — modelling a
-    /// hardware fault in the elision machinery. Returns a description, or
-    /// `None` when nothing is cached yet.
-    pub fn corrupt_proven_bit(&mut self, pick: u64, bit: u64) -> Option<String> {
-        self.dcache.corrupt_proven_bit(pick, bit)
     }
 
     /// Fault-injection hook: flips one bit in the pre-extended immediate
@@ -622,12 +581,8 @@ impl Cpu {
     /// other.
     ///
     /// The decode cache is **rebuilt on demand** rather than shared: the
-    /// fork starts with no decoded pages and a private copy of the
-    /// analyzer's proven-clean set, exactly the state a fresh boot has
-    /// after [`Cpu::install_proven_checks`]. Sharing decoded pages would
-    /// couple the proof machinery across timelines — a self-modifying
-    /// store in one fork must never revoke (or preserve) proofs in
-    /// another. Forked from a pre-execution snapshot, the child is
+    /// fork starts with no decoded pages, exactly the state a fresh boot
+    /// has. Forked from a pre-execution snapshot, the child is
     /// bit-identical to a fresh boot by construction, decode-cache
     /// counters included.
     ///
@@ -649,25 +604,8 @@ impl Cpu {
             observer: None,
             last_step_tainted: self.last_step_tainted,
             engine: self.engine,
-            dcache: self.dcache.fork_rebuild(),
-            degraded: self.degraded,
+            dcache: DecodeCache::new(),
             profiler: None,
-        }
-    }
-
-    /// Bookkeeping for a statically elided pointer check. The analyzer
-    /// guarantees the checked word is clean here, so skipping the check
-    /// cannot change architectural behaviour — asserted in debug builds
-    /// and by the machine-level elision differential tests.
-    #[inline]
-    fn elide_check(&mut self, pc: u32, taint: WordTaint) {
-        debug_assert!(
-            !taint.any(),
-            "elided a pointer check on a tainted word at {pc:#010x}"
-        );
-        self.stats.elided_checks += 1;
-        if self.observer.is_some() {
-            self.emit_event(&Event::CheckElided { pc });
         }
     }
 
@@ -692,38 +630,28 @@ impl Cpu {
             if self.mem.has_dirty_code_pages() {
                 self.invalidate_dirty_pages();
             }
-            // Periodic integrity sweep: ProvenClean bitmaps (full, against
-            // the replica) plus one page's slot checksum per sweep. On a
-            // mismatch the cache degrades — proofs dropped, pages refilled
-            // from authoritative memory — and execution continues with
-            // every check in force.
+            // Periodic integrity sweep: one page's slot checksum per sweep.
+            // On a mismatch every decoded page is dropped and refilled from
+            // authoritative memory.
             if self.stats.instructions & (INTEGRITY_STRIDE - 1) == 0 && self.stats.instructions != 0
             {
                 if let Some(reason) = self.dcache.verify_sweep() {
                     self.degrade(&reason);
                 }
             }
-            if let Some((d, proven)) = self.dcache.lookup(pc) {
-                if let Some(reason) = self.dcache.take_compromised() {
-                    // A proven-bit replica mismatch at lookup: degrade now
-                    // (dropping this page with the rest) and fall through
-                    // to the authoritative fetch+decode path.
-                    self.degrade(&reason);
-                } else {
-                    self.stats.decode_cache_hits += 1;
-                    if self.observer.is_some() {
-                        self.emit_event(&Event::DecodeCache {
-                            page: pc / PAGE_SIZE,
-                            kind: "hit",
-                        });
-                    }
-                    return self.exec(pc, d, proven);
+            if let Some(d) = self.dcache.lookup(pc) {
+                self.stats.decode_cache_hits += 1;
+                if self.observer.is_some() {
+                    self.emit_event(&Event::DecodeCache {
+                        page: pc / PAGE_SIZE,
+                        kind: "hit",
+                    });
                 }
+                return self.exec(pc, d);
             }
         }
         // Authoritative path: always for the interpreter, on a miss for the
-        // cached engine. Checks are never elided here — elision bits live in
-        // the decode cache, so the interpreter stays the unelided oracle.
+        // cached engine.
         let word = self.mem.fetch_u32(pc)?;
         let d = DecodedInsn::predecode(pc, word).map_err(|err| CpuException::Decode { pc, err })?;
         if self.engine == Engine::Cached {
@@ -735,7 +663,7 @@ impl Cpu {
             self.dcache.fill_block(pc, self.mem.memory());
             self.mem.watch_code_page(pc / PAGE_SIZE);
         }
-        self.exec(pc, d, false)
+        self.exec(pc, d)
     }
 
     /// Invalidates every decode-cache page the memory system reports as
@@ -753,12 +681,9 @@ impl Cpu {
     }
 
     /// The execute stage shared by both engines: applies `d` (predecoded at
-    /// `pc`) to the architectural and taint state. With `elide` set (cached
-    /// engine, statically proven site) the pointer-taintedness check is
-    /// skipped; taint *propagation* always runs in full — elision only
-    /// removes the detector probe, never the Table 1 dataflow.
+    /// `pc`) to the architectural and taint state.
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, pc: u32, d: DecodedInsn, elide: bool) -> Result<StepEvent, CpuException> {
+    fn exec(&mut self, pc: u32, d: DecodedInsn) -> Result<StepEvent, CpuException> {
         let instr = d.instr;
         let mut next_pc = pc.wrapping_add(4);
         let mut event = StepEvent::Executed;
@@ -976,11 +901,7 @@ impl Cpu {
                 self.stats.loads += 1;
                 let (bv, bt) = self.regs.get(base);
                 self.note_tainted_operands(&[bt]);
-                if elide {
-                    self.elide_check(pc, bt);
-                } else {
-                    self.check_data_pointer(pc, instr, base)?;
-                }
+                self.check_data_pointer(pc, instr, base)?;
                 let addr = bv.wrapping_add(d.imm);
                 let (value, taint) = match width {
                     MemWidth::Byte => {
@@ -1022,11 +943,7 @@ impl Cpu {
                 let (bv, bt) = self.regs.get(base);
                 let (v, tv) = self.regs.get(rt);
                 self.note_tainted_operands(&[bt, tv]);
-                if elide {
-                    self.elide_check(pc, bt);
-                } else {
-                    self.check_data_pointer(pc, instr, base)?;
-                }
+                self.check_data_pointer(pc, instr, base)?;
                 let addr = bv.wrapping_add(d.imm);
                 let stored_taint = match width {
                     MemWidth::Byte => {
@@ -1110,22 +1027,14 @@ impl Cpu {
                 self.stats.register_jumps += 1;
                 let (_, t) = self.regs.get(rs);
                 self.note_tainted_operands(&[t]);
-                if elide {
-                    self.elide_check(pc, t);
-                } else {
-                    self.check_jump_pointer(pc, instr, rs)?;
-                }
+                self.check_jump_pointer(pc, instr, rs)?;
                 next_pc = self.regs.value(rs);
             }
             Instr::JumpAndLinkReg { rd, rs } => {
                 self.stats.register_jumps += 1;
                 let (_, t) = self.regs.get(rs);
                 self.note_tainted_operands(&[t]);
-                if elide {
-                    self.elide_check(pc, t);
-                } else {
-                    self.check_jump_pointer(pc, instr, rs)?;
-                }
+                self.check_jump_pointer(pc, instr, rs)?;
                 next_pc = self.regs.value(rs);
                 self.regs.set(rd, pc.wrapping_add(4), WordTaint::CLEAN);
             }
@@ -1610,88 +1519,6 @@ main:   la $t0, buf
         );
     }
 
-    /// Elision skips the check probe at proven sites without disturbing
-    /// anything architectural: a run with every site proven matches a run
-    /// with no proven set, modulo the engine-activity counters.
-    #[test]
-    fn proven_sites_elide_checks_without_changing_state() {
-        let src = ".data
-buf:    .space 8
-        .text
-main:   la $t0, buf
-        li $t2, 0
-loop:   lw $t1, 0($t0)
-        sw $t2, 4($t0)
-        addiu $t2, $t2, 1
-        li $t3, 5
-        bne $t2, $t3, loop
-        break 0";
-        let image = assemble(src).expect("test program must assemble");
-        let every_pc: Vec<u32> = (0..image.text.len() as u32)
-            .map(|i| image.text_base + 4 * i)
-            .collect();
-
-        let mut elided = boot(src, DetectionPolicy::PointerTaintedness);
-        elided.install_proven_checks(every_pc);
-        assert!(elided.has_proven_checks());
-        run(&mut elided, 100).unwrap();
-        // Iterations after the block predecode dispatch from the cache and
-        // skip both the load and the store check.
-        assert!(elided.stats().elided_checks >= 4, "{:?}", elided.stats());
-
-        let mut full = boot(src, DetectionPolicy::PointerTaintedness);
-        run(&mut full, 100).unwrap();
-        assert_eq!(full.stats().elided_checks, 0);
-        assert_eq!(
-            full.stats().without_decode_cache(),
-            elided.stats().without_decode_cache()
-        );
-        assert_eq!(full.regs().value(Reg::T1), elided.regs().value(Reg::T1));
-    }
-
-    /// A store into text drops the whole proven set: static analysis only
-    /// described the original image, so after self-modification every check
-    /// must run again (and refills never re-prove).
-    #[test]
-    fn smc_store_drops_all_proven_sites() {
-        let patched = Instr::IAlu {
-            op: IAluOp::Addiu,
-            rt: Reg::T2,
-            rs: Reg::ZERO,
-            imm: 99,
-        }
-        .encode();
-        let src = format!(
-            "main:   la $t0, patch
-                     li $t1, 0x{patched:08x}
-                     sw $t1, 0($t0)
-            patch:   li $t2, 1
-                     break 0"
-        );
-        let image = assemble(&src).expect("test program must assemble");
-        let every_pc: Vec<u32> = (0..image.text.len() as u32)
-            .map(|i| image.text_base + 4 * i)
-            .collect();
-
-        let mut cpu = boot(&src, DetectionPolicy::PointerTaintedness);
-        cpu.install_proven_checks(every_pc);
-        run(&mut cpu, 100).unwrap();
-        assert_eq!(cpu.regs().value(Reg::T2), 99, "patched word must execute");
-        assert!(
-            !cpu.has_proven_checks(),
-            "self-modification must wipe the proven set"
-        );
-        assert!(cpu.stats().decode_cache_invalidations >= 1);
-
-        // Still architecturally identical to the uninstrumented run.
-        let mut full = boot(&src, DetectionPolicy::PointerTaintedness);
-        run(&mut full, 100).unwrap();
-        assert_eq!(
-            full.stats().without_decode_cache(),
-            cpu.stats().without_decode_cache()
-        );
-    }
-
     #[test]
     fn sra_vs_srl_semantics() {
         let mut cpu = boot(
@@ -1780,25 +1607,5 @@ loop:   lw $t1, 0($t0)
         // ...and the parent still runs to the same result itself.
         run(&mut cpu, 100).unwrap();
         assert_eq!(cpu.mem_mut().read_u32(buf).unwrap().0, 0x1111_1111);
-    }
-
-    #[test]
-    fn fork_carries_a_private_proven_set() {
-        let cpu = {
-            let mut c = boot("main: break 0", DetectionPolicy::PointerTaintedness);
-            c.install_proven_checks([TEXT_BASE]);
-            c
-        };
-        let mut child = cpu.fork();
-        assert!(child.has_proven_checks());
-        // Invalidation in the child must not revoke the parent's proofs.
-        child.mem_mut().watch_code_page(TEXT_BASE / PAGE_SIZE);
-        child
-            .mem_mut()
-            .write_u32(TEXT_BASE, 0, WordTaint::CLEAN)
-            .unwrap();
-        child.invalidate_dirty_pages();
-        assert!(!child.has_proven_checks());
-        assert!(cpu.has_proven_checks());
     }
 }

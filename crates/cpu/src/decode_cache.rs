@@ -10,16 +10,13 @@
 //! the CPU drains dirty pages and calls [`DecodeCache::invalidate`] before
 //! consulting the cache.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ptaint_isa::{DecodedInsn, PAGE_SIZE};
 use ptaint_mem::TaintedMemory;
 
 /// Instruction slots per page (one per 4-aligned word).
 const SLOTS: usize = (PAGE_SIZE / 4) as usize;
-
-/// One `u64` of proven-clean bits per 64 slots.
-const PROVEN_WORDS: usize = SLOTS / 64;
 
 /// FNV-1a hash of one filled slot's decoded form. XORed into the page
 /// header checksum at fill time so the integrity sweep can recompute and
@@ -38,14 +35,6 @@ fn slot_hash(slot: usize, d: &DecodedInsn) -> u64 {
 /// One predecoded text page.
 struct DecodedPage {
     slots: Box<[Option<DecodedInsn>; SLOTS]>,
-    /// One bit per slot: the static analyzer proved this instruction's
-    /// pointer check can never fire, so the engine may skip it.
-    proven: Box<[u64; PROVEN_WORDS]>,
-    /// Lockstep replica of `proven`. Every legitimate update writes both
-    /// copies; `lookup` cross-checks the word covering a hit, so a single
-    /// flipped proven bit yields a detectable mismatch instead of a
-    /// silently elided check.
-    proven_dup: Box<[u64; PROVEN_WORDS]>,
     /// Page header checksum: XOR of [`slot_hash`] over every filled slot,
     /// maintained incrementally by fills and resets. The periodic
     /// integrity sweep recomputes it from the slots and compares.
@@ -56,27 +45,13 @@ impl DecodedPage {
     fn new() -> DecodedPage {
         DecodedPage {
             slots: Box::new([None; SLOTS]),
-            proven: Box::new([0; PROVEN_WORDS]),
-            proven_dup: Box::new([0; PROVEN_WORDS]),
             sum: 0,
         }
     }
 
     fn clear(&mut self) {
         self.slots.fill(None);
-        self.proven.fill(0);
-        self.proven_dup.fill(0);
         self.sum = 0;
-    }
-
-    #[inline]
-    fn is_proven(&self, slot: usize) -> bool {
-        self.proven[slot / 64] >> (slot % 64) & 1 != 0
-    }
-
-    fn set_proven(&mut self, slot: usize) {
-        self.proven[slot / 64] |= 1 << (slot % 64);
-        self.proven_dup[slot / 64] |= 1 << (slot % 64);
     }
 
     fn recompute_sum(&self) -> u64 {
@@ -95,95 +70,27 @@ impl DecodedPage {
 /// A one-entry "last page" shortcut keeps the hot loop free of hash lookups
 /// while execution stays within one page; invalidated slot arrays go on a
 /// free list and are reused by later fills.
+#[derive(Default)]
 pub(crate) struct DecodeCache {
     index: HashMap<u32, usize>,
     pages: Vec<DecodedPage>,
     free: Vec<usize>,
     last: Option<(u32, usize)>,
-    /// Master proven-clean set installed by the static analyzer; consulted
-    /// at fill time to stamp per-slot bits. Dropped wholesale on the first
-    /// invalidation (self-modifying code makes the static proof stale).
-    proven: HashSet<u32>,
-    /// Set when `lookup` catches a proven-bitmap replica mismatch; the CPU
-    /// drains it and enters degraded mode.
-    compromised: Option<String>,
-    /// Round-robin cursor for the deep (slot-checksum) half of the
-    /// periodic integrity sweep: one page per sweep, amortized.
+    /// Round-robin cursor for the periodic slot-checksum sweep: one page
+    /// per sweep, amortized.
     sweep_cursor: usize,
 }
 
 impl DecodeCache {
     pub(crate) fn new() -> DecodeCache {
-        DecodeCache {
-            index: HashMap::new(),
-            pages: Vec::new(),
-            free: Vec::new(),
-            last: None,
-            proven: HashSet::new(),
-            compromised: None,
-            sweep_cursor: 0,
-        }
+        DecodeCache::default()
     }
 
-    /// The fork-side decode cache: **rebuilt on demand**, not shared.
-    ///
-    /// Decoded pages are cheap to refill (one linear predecode per text
-    /// page), but the proven-clean machinery is not fork-safe to share:
-    /// `invalidate` drops the *whole* proven set, and a shared set would let
-    /// one timeline's self-modifying store revoke (or, worse, fail to
-    /// revoke) proofs in another. So a fork starts with zero decoded pages
-    /// and a private clone of the master proven set exactly as the analyzer
-    /// installed it at boot — the same state a fresh boot produces — and
-    /// proofs can never survive an invalidation across the fork boundary
-    /// because no proof state is shared at all.
-    pub(crate) fn fork_rebuild(&self) -> DecodeCache {
-        DecodeCache {
-            index: HashMap::new(),
-            pages: Vec::new(),
-            free: Vec::new(),
-            last: None,
-            proven: self.proven.clone(),
-            compromised: None,
-            sweep_cursor: 0,
-        }
-    }
-
-    /// Installs the analyzer's proven-clean set. Cached pages are dropped
-    /// so the next fill stamps the per-slot bits; callers install at boot,
-    /// before any execution, where the cache is empty anyway.
-    pub(crate) fn install_proven(&mut self, pcs: impl IntoIterator<Item = u32>) {
-        // Drop cached pages first: `invalidate` wipes the proven set (its
-        // self-modifying-code contract), so install after.
-        let pages: Vec<u32> = self.index.keys().copied().collect();
-        for page in pages {
-            self.invalidate(page);
-        }
-        self.proven = pcs.into_iter().collect();
-    }
-
-    /// Forgets every proven-clean bit — master set and per-page stamps.
-    /// Called when self-modifying code makes the static analysis stale.
-    pub(crate) fn clear_proven(&mut self) {
-        if self.proven.is_empty() {
-            return;
-        }
-        self.proven.clear();
-        for page in &mut self.pages {
-            page.proven.fill(0);
-            page.proven_dup.fill(0);
-        }
-    }
-
-    /// Whether a proven-clean set is installed (and not yet dropped).
-    pub(crate) fn has_proven(&self) -> bool {
-        !self.proven.is_empty()
-    }
-
-    /// The cached decode at `pc`, if this word has been predecoded, and
-    /// whether its pointer check is proven elidable. Unaligned PCs always
-    /// miss, so the fetch path reproduces the exact alignment fault.
+    /// The cached decode at `pc`, if this word has been predecoded.
+    /// Unaligned PCs always miss, so the fetch path reproduces the exact
+    /// alignment fault.
     #[inline]
-    pub(crate) fn lookup(&mut self, pc: u32) -> Option<(DecodedInsn, bool)> {
+    pub(crate) fn lookup(&mut self, pc: u32) -> Option<DecodedInsn> {
         if pc & 3 != 0 {
             return None;
         }
@@ -196,91 +103,41 @@ impl DecodeCache {
                 idx
             }
         };
-        let slot = ((pc % PAGE_SIZE) / 4) as usize;
-        let p = &self.pages[idx];
-        let d = p.slots[slot]?;
-        // DMR cross-check: a flipped bit in either proven copy makes the
-        // covering words differ. Fail safe (run the check) and flag the
-        // cache so the CPU degrades before trusting any further proof.
-        if p.proven[slot / 64] != p.proven_dup[slot / 64] {
-            self.compromised = Some(format!(
-                "proven bitmap replica mismatch on page {:#010x}",
-                page * PAGE_SIZE
-            ));
-            return Some((d, false));
-        }
-        Some((d, p.is_proven(slot)))
+        self.pages[idx].slots[((pc % PAGE_SIZE) / 4) as usize]
     }
 
-    /// Drains the replica-mismatch flag raised by [`DecodeCache::lookup`].
-    pub(crate) fn take_compromised(&mut self) -> Option<String> {
-        self.compromised.take()
-    }
-
-    /// One step of the periodic integrity check. Always compares every
-    /// cached page's proven bitmap against its replica (cheap: a few words
-    /// per page); additionally recomputes one page's slot checksum per
-    /// call, round-robin, so decoded-slot corruption is caught within a
-    /// bounded number of sweeps. Returns a reason on the first mismatch.
+    /// One step of the periodic integrity check: recomputes one page's
+    /// slot checksum per call, round-robin, so decoded-slot corruption is
+    /// caught within a bounded number of sweeps. Returns a reason on a
+    /// mismatch.
     pub(crate) fn verify_sweep(&mut self) -> Option<String> {
-        let describe = |index: &HashMap<u32, usize>, idx: usize| {
-            index
-                .iter()
-                .find(|&(_, &i)| i == idx)
-                .map_or(0, |(&p, _)| p * PAGE_SIZE)
-        };
-        for (idx, p) in self.pages.iter().enumerate() {
-            if p.proven != p.proven_dup {
-                return Some(format!(
-                    "proven bitmap replica mismatch on page {:#010x}",
-                    describe(&self.index, idx)
-                ));
-            }
+        if self.pages.is_empty() {
+            return None;
         }
-        if !self.pages.is_empty() {
-            let idx = self.sweep_cursor % self.pages.len();
-            self.sweep_cursor = self.sweep_cursor.wrapping_add(1);
-            let p = &self.pages[idx];
-            if p.recompute_sum() != p.sum {
-                return Some(format!(
-                    "decoded slot checksum mismatch on page {:#010x}",
-                    describe(&self.index, idx)
-                ));
-            }
+        let idx = self.sweep_cursor % self.pages.len();
+        self.sweep_cursor = self.sweep_cursor.wrapping_add(1);
+        let p = &self.pages[idx];
+        if p.recompute_sum() == p.sum {
+            return None;
         }
-        None
+        let page = self
+            .index
+            .iter()
+            .find(|&(_, &i)| i == idx)
+            .map_or(0, |(&p, _)| p * PAGE_SIZE);
+        Some(format!(
+            "decoded slot checksum mismatch on page {page:#010x}"
+        ))
     }
 
-    /// Enters degraded mode: drops every decoded page and every proof
-    /// (master set and per-page stamps, both copies). The next fills
-    /// re-predecode from authoritative memory — healing slot corruption —
-    /// and nothing is ever proven again, so no check is elided.
-    pub(crate) fn degrade(&mut self) {
+    /// Drops every decoded page. The next fills re-predecode from
+    /// authoritative memory, which heals slot corruption.
+    pub(crate) fn drop_all(&mut self) {
         let pages: Vec<u32> = self.index.keys().copied().collect();
         for page in pages {
             self.invalidate(page);
         }
-        self.clear_proven();
-        self.compromised = None;
         self.sweep_cursor = 0;
-    }
-
-    /// Fault-injection hook: flips one bit in the *primary* proven bitmap
-    /// of a cached page, bypassing the replica and the checksum, exactly
-    /// as a hardware fault would. Returns a description of the flip, or
-    /// `None` when no page is cached (the fault has nothing to land on).
-    pub(crate) fn corrupt_proven_bit(&mut self, pick: u64, bit: u64) -> Option<String> {
-        let mut pages: Vec<u32> = self.index.keys().copied().collect();
-        pages.sort_unstable();
-        let page = *pages.get((pick % pages.len().max(1) as u64) as usize)?;
-        let idx = self.index[&page];
-        let slot = (bit % SLOTS as u64) as usize;
-        self.pages[idx].proven[slot / 64] ^= 1 << (slot % 64);
-        self.last = None;
-        Some(format!(
-            "proven bit for {:#010x} flipped",
-            page * PAGE_SIZE + 4 * slot as u32
-        ))
     }
 
     /// Fault-injection hook: flips one bit in the pre-extended immediate of
@@ -354,18 +211,11 @@ impl DecodeCache {
             };
             self.pages[idx].slots[slot] = Some(d);
             self.pages[idx].sum ^= slot_hash(slot, &d);
-            if !self.proven.is_empty() && self.proven.contains(&addr) {
-                self.pages[idx].set_proven(slot);
-            }
         }
     }
 
     /// Drops the cached page, returning whether anything was cached for it.
-    /// Any invalidation also drops the whole proven-clean set: a store into
-    /// text is self-modifying code, and the static analysis no longer
-    /// describes the program that is running.
     pub(crate) fn invalidate(&mut self, page: u32) -> bool {
-        self.clear_proven();
         let Some(idx) = self.index.remove(&page) else {
             return false;
         };
@@ -408,14 +258,12 @@ mod tests {
         let mut cache = DecodeCache::new();
         assert_eq!(cache.lookup(TEXT_BASE), None);
         cache.fill_block(TEXT_BASE, &mem);
-        assert_eq!(cache.lookup(TEXT_BASE).unwrap().0.instr, addiu(1));
-        assert_eq!(cache.lookup(TEXT_BASE + 4).unwrap().0.instr, addiu(2));
+        assert_eq!(cache.lookup(TEXT_BASE).unwrap().instr, addiu(1));
+        assert_eq!(cache.lookup(TEXT_BASE + 4).unwrap().instr, addiu(2));
         // Unmapped words beyond the program read as zero -> nop, like fetch.
-        assert_eq!(cache.lookup(TEXT_BASE + 8).unwrap().0.instr, Instr::NOP);
+        assert_eq!(cache.lookup(TEXT_BASE + 8).unwrap().instr, Instr::NOP);
         // Unaligned lookups always miss.
         assert_eq!(cache.lookup(TEXT_BASE + 2), None);
-        // No proven set installed: nothing is elidable.
-        assert!(!cache.lookup(TEXT_BASE).unwrap().1);
     }
 
     #[test]
@@ -428,7 +276,7 @@ mod tests {
         assert_eq!(cache.lookup(TEXT_BASE + 4), None, "bad word left uncached");
         // A later fill starting past the bad word predecodes the rest.
         cache.fill_block(TEXT_BASE + 8, &mem);
-        assert_eq!(cache.lookup(TEXT_BASE + 8).unwrap().0.instr, addiu(3));
+        assert_eq!(cache.lookup(TEXT_BASE + 8).unwrap().instr, addiu(3));
     }
 
     #[test]
@@ -443,7 +291,7 @@ mod tests {
         // Refill (reusing the freed slot array) sees fresh contents.
         let patched = text_with(&[addiu(7).encode()]);
         cache.fill_block(TEXT_BASE, &patched);
-        assert_eq!(cache.lookup(TEXT_BASE).unwrap().0.instr, addiu(7));
+        assert_eq!(cache.lookup(TEXT_BASE).unwrap().instr, addiu(7));
     }
 
     #[test]
@@ -457,129 +305,42 @@ mod tests {
         assert!(cache.invalidate(TEXT_BASE / PAGE_SIZE));
         assert_eq!(cache.lookup(TEXT_BASE), None);
         assert_eq!(
-            cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap().0.instr,
+            cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap().instr,
             addiu(2),
             "sibling page survives the invalidation"
         );
     }
 
     #[test]
-    fn proven_bits_are_stamped_at_fill_time() {
-        let mem = text_with(&[addiu(1).encode(), addiu(2).encode(), addiu(3).encode()]);
-        let mut cache = DecodeCache::new();
-        cache.install_proven([TEXT_BASE, TEXT_BASE + 8]);
-        assert!(cache.has_proven());
-        cache.fill_block(TEXT_BASE, &mem);
-        assert!(cache.lookup(TEXT_BASE).unwrap().1);
-        assert!(!cache.lookup(TEXT_BASE + 4).unwrap().1, "not in the set");
-        assert!(cache.lookup(TEXT_BASE + 8).unwrap().1);
-    }
-
-    #[test]
-    fn any_invalidation_drops_every_proven_bit() {
-        // Self-modifying code anywhere makes the static analysis stale, so
-        // one invalidation must clear proven bits on *all* pages — including
-        // pages the store never touched — and refills must not re-prove.
-        let mut mem = text_with(&[addiu(1).encode()]);
-        mem.write_u32(TEXT_BASE + PAGE_SIZE, addiu(2).encode(), WordTaint::CLEAN)
-            .unwrap();
-        let mut cache = DecodeCache::new();
-        cache.install_proven([TEXT_BASE, TEXT_BASE + PAGE_SIZE]);
-        cache.fill_block(TEXT_BASE, &mem);
-        cache.fill_block(TEXT_BASE + PAGE_SIZE, &mem);
-        assert!(cache.lookup(TEXT_BASE).unwrap().1);
-        assert!(cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap().1);
-
-        assert!(cache.invalidate(TEXT_BASE / PAGE_SIZE));
-        assert!(!cache.has_proven());
-        // The sibling page stays decoded but loses its proven stamp.
-        let (d, proven) = cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap();
-        assert_eq!(d.instr, addiu(2));
-        assert!(!proven);
-        // Refilling the invalidated page never re-proves it.
-        cache.fill_block(TEXT_BASE, &mem);
-        assert!(!cache.lookup(TEXT_BASE).unwrap().1);
-    }
-
-    #[test]
-    fn a_flipped_proven_bit_never_elides_and_flags_the_cache() {
+    fn the_sweep_catches_slot_corruption() {
         let mem = text_with(&[addiu(1).encode(), addiu(2).encode()]);
         let mut cache = DecodeCache::new();
-        cache.install_proven([TEXT_BASE]);
-        cache.fill_block(TEXT_BASE, &mem);
-        assert!(cache.lookup(TEXT_BASE).unwrap().1);
-        assert!(cache.take_compromised().is_none());
-
-        // Flip the primary bit covering slot 0: the replica now disagrees,
-        // so the lookup fails safe (proven = false) and raises the flag.
-        let applied = cache.corrupt_proven_bit(0, 0).unwrap();
-        assert!(applied.contains("proven bit"), "{applied}");
-        assert!(!cache.lookup(TEXT_BASE).unwrap().1, "mismatch fails safe");
-        assert!(cache.take_compromised().is_some());
-
-        // A flip the other way — falsely *proving* an unproven slot — is
-        // caught the same way (the covering words still differ).
-        let mut cache = DecodeCache::new();
-        cache.fill_block(TEXT_BASE, &mem);
-        cache.corrupt_proven_bit(0, 1).unwrap();
-        assert!(!cache.lookup(TEXT_BASE + 4).unwrap().1);
-        assert!(cache.take_compromised().is_some());
-    }
-
-    #[test]
-    fn the_sweep_catches_replica_and_slot_corruption() {
-        let mem = text_with(&[addiu(1).encode(), addiu(2).encode()]);
-        let mut cache = DecodeCache::new();
-        cache.install_proven([TEXT_BASE]);
         cache.fill_block(TEXT_BASE, &mem);
         assert_eq!(cache.verify_sweep(), None, "clean cache passes");
-
-        cache.corrupt_proven_bit(0, 3).unwrap();
-        assert!(cache.verify_sweep().unwrap().contains("replica mismatch"));
-        cache.degrade();
-        assert_eq!(cache.verify_sweep(), None, "degrade heals the cache");
-
-        cache.fill_block(TEXT_BASE, &mem);
         cache.corrupt_decode_slot(0, 0).unwrap();
         assert!(cache.verify_sweep().unwrap().contains("checksum mismatch"));
     }
 
     #[test]
-    fn degrade_drops_pages_and_proofs_and_refills_heal() {
+    fn drop_all_drops_pages_and_refills_heal() {
         let mem = text_with(&[addiu(1).encode()]);
         let mut cache = DecodeCache::new();
-        cache.install_proven([TEXT_BASE]);
         cache.fill_block(TEXT_BASE, &mem);
         cache.corrupt_decode_slot(0, 0).unwrap();
-        cache.degrade();
-        assert!(!cache.has_proven());
+        cache.drop_all();
         assert_eq!(cache.lookup(TEXT_BASE), None, "pages dropped");
         // The refill re-predecodes from authoritative memory: the corrupted
-        // slot is healed, and nothing is proven any more.
+        // slot is healed.
         cache.fill_block(TEXT_BASE, &mem);
-        let (d, proven) = cache.lookup(TEXT_BASE).unwrap();
+        let d = cache.lookup(TEXT_BASE).unwrap();
         assert_eq!(d.instr, addiu(1));
         assert_eq!(d.imm, 1, "corruption healed by the authoritative refill");
-        assert!(!proven);
         assert_eq!(cache.verify_sweep(), None);
     }
 
     #[test]
-    fn corruption_hooks_report_none_on_an_empty_cache() {
+    fn corruption_hook_reports_none_on_an_empty_cache() {
         let mut cache = DecodeCache::new();
-        assert_eq!(cache.corrupt_proven_bit(7, 9), None);
         assert_eq!(cache.corrupt_decode_slot(7, 9), None);
-    }
-
-    #[test]
-    fn install_proven_resets_already_filled_pages() {
-        let mem = text_with(&[addiu(1).encode()]);
-        let mut cache = DecodeCache::new();
-        cache.fill_block(TEXT_BASE, &mem);
-        cache.install_proven([TEXT_BASE]);
-        // The pre-install fill was dropped; the refill stamps the bit.
-        assert_eq!(cache.lookup(TEXT_BASE), None);
-        cache.fill_block(TEXT_BASE, &mem);
-        assert!(cache.lookup(TEXT_BASE).unwrap().1);
     }
 }

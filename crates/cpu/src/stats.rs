@@ -38,16 +38,11 @@ pub struct ExecStats {
     /// Cached text pages dropped because something stored into them
     /// (self-modifying-code coherence).
     pub decode_cache_invalidations: u64,
-    /// Pointer-taintedness checks skipped because static analysis proved
-    /// the site clean (always zero under the interpreter, or when no
-    /// proven-clean set is installed).
-    pub elided_checks: u64,
     /// Faults the injection harness applied to this run (I/O degradations
     /// and state corruptions). Zero outside fault-injection campaigns.
     pub injected_faults: u64,
-    /// Times the periodic decode-cache integrity check (ProvenClean bitmap
-    /// replicas + page checksums) tripped and the CPU entered degraded
-    /// mode: proofs dropped, elision off, every check run in full.
+    /// Times the periodic decode-cache integrity check (page slot
+    /// checksums) tripped and the CPU dropped every decoded page.
     pub integrity_failures: u64,
 }
 
@@ -63,21 +58,18 @@ impl ExecStats {
         }
     }
 
-    /// This record with the decode-cache and check-elision counters zeroed.
+    /// This record with the decode-cache counters zeroed.
     ///
     /// Those counters describe *engine* activity, not guest-visible
     /// behaviour, so the engine differential tests compare
     /// `a.without_decode_cache() == b.without_decode_cache()` to assert
     /// that the interpreter and the cached engine agree on everything
-    /// architecturally meaningful. Elided checks belong here too: a
-    /// (sound) elision skips work whose outcome is already known, so the
-    /// count is a property of the engine configuration, not the guest.
+    /// architecturally meaningful.
     #[must_use]
     pub fn without_decode_cache(mut self) -> ExecStats {
         self.decode_cache_hits = 0;
         self.decode_cache_misses = 0;
         self.decode_cache_invalidations = 0;
-        self.elided_checks = 0;
         self
     }
 }
@@ -88,7 +80,7 @@ impl fmt::Display for ExecStats {
             f,
             "{} instructions ({} loads, {} stores, {} branches, {} reg-jumps, {} syscalls), \
              {} tainted-operand ({:.4}%), {} tainted-pointer derefs, \
-             decode-cache {}h/{}m/{}inv, {} elided checks, {} injected faults, \
+             decode-cache {}h/{}m/{}inv, {} injected faults, \
              {} integrity failures",
             self.instructions,
             self.loads,
@@ -102,7 +94,6 @@ impl fmt::Display for ExecStats {
             self.decode_cache_hits,
             self.decode_cache_misses,
             self.decode_cache_invalidations,
-            self.elided_checks,
             self.injected_faults,
             self.integrity_failures
         )
@@ -117,7 +108,7 @@ impl ToJson for ExecStats {
                 "\"register_jumps\":{},\"syscalls\":{},\"tainted_operand_instructions\":{},",
                 "\"tainted_pointer_dereferences\":{},\"decode_cache_hits\":{},",
                 "\"decode_cache_misses\":{},\"decode_cache_invalidations\":{},",
-                "\"elided_checks\":{},\"injected_faults\":{},\"integrity_failures\":{}}}"
+                "\"injected_faults\":{},\"integrity_failures\":{}}}"
             ),
             self.instructions,
             self.loads,
@@ -130,7 +121,6 @@ impl ToJson for ExecStats {
             self.decode_cache_hits,
             self.decode_cache_misses,
             self.decode_cache_invalidations,
-            self.elided_checks,
             self.injected_faults,
             self.integrity_failures
         )
@@ -188,18 +178,15 @@ mod tests {
             decode_cache_hits: 98,
             decode_cache_misses: 2,
             decode_cache_invalidations: 1,
-            elided_checks: 40,
             injected_faults: 5,
             ..ExecStats::default()
         };
         assert!(stats.to_string().contains("decode-cache 98h/2m/1inv"));
-        assert!(stats.to_string().contains("40 elided checks"));
         assert!(stats.to_string().contains("5 injected faults"));
         let json = stats.to_json();
         assert!(json.contains("\"decode_cache_hits\":98"));
         assert!(json.contains("\"decode_cache_misses\":2"));
         assert!(json.contains("\"decode_cache_invalidations\":1"));
-        assert!(json.contains("\"elided_checks\":40"));
         assert!(json.contains("\"injected_faults\":5"));
         // Normalizing erases only the engine-activity counters.
         let plain = stats.without_decode_cache();
@@ -207,7 +194,6 @@ mod tests {
         assert_eq!(plain.decode_cache_hits, 0);
         assert_eq!(plain.decode_cache_misses, 0);
         assert_eq!(plain.decode_cache_invalidations, 0);
-        assert_eq!(plain.elided_checks, 0);
         assert_eq!(
             plain,
             ExecStats {
@@ -245,27 +231,5 @@ mod tests {
         assert!(stats.to_string().contains("3 injected faults"));
         assert!(stats.to_json().contains("\"injected_faults\":3"));
         assert_eq!(stats.without_decode_cache().injected_faults, 3);
-    }
-
-    #[test]
-    fn elision_counter_normalizes_across_engines() {
-        // The elision counter is engine activity: a run with checks elided
-        // and a run with every check executed must normalize to the same
-        // record when everything architectural matches.
-        let elided = ExecStats {
-            instructions: 500,
-            loads: 80,
-            elided_checks: 77,
-            decode_cache_hits: 499,
-            decode_cache_misses: 1,
-            ..ExecStats::default()
-        };
-        let full = ExecStats {
-            instructions: 500,
-            loads: 80,
-            ..ExecStats::default()
-        };
-        assert_ne!(elided, full);
-        assert_eq!(elided.without_decode_cache(), full.without_decode_cache());
     }
 }

@@ -30,7 +30,7 @@ pub enum OutcomeClass {
     /// hardening-caught host panic).
     GuestFault,
     /// The faulted run crashed under a fault that targeted the *detection
-    /// machinery* (shadow taint, decode cache, static proofs) rather than
+    /// machinery* (shadow taint, decode cache) rather than
     /// the guest — "detector corrupted", as opposed to "guest corrupted".
     DetectorFault,
     /// The faulted run hung: step budget or wall-clock watchdog expired.
@@ -438,7 +438,7 @@ mod tests {
         assert_eq!(classify_fault(&crash, true, FaultKind::DataBit), GuestFault);
         // ...detector-level kinds widen it.
         assert_eq!(
-            classify_fault(&crash, true, FaultKind::ProvenFlip),
+            classify_fault(&crash, true, FaultKind::TaintClear),
             DetectorFault
         );
         assert_eq!(
@@ -457,7 +457,7 @@ mod tests {
             FalseAlert
         );
         assert_eq!(
-            classify_fault(&ExitReason::Watchdog, true, FaultKind::ProofCache),
+            classify_fault(&ExitReason::Watchdog, true, FaultKind::DecodeSlot),
             Watchdog
         );
     }

@@ -217,13 +217,7 @@ fn apply_state_fault(kind: FaultKind, rng: &mut SplitMix64, cpu: &mut Cpu) -> Op
             let bit = rng.next_u64();
             cpu.corrupt_decode_slot(pick, bit)
         }
-        FaultKind::ProvenFlip => {
-            let pick = rng.next_u64();
-            let bit = rng.next_u64();
-            cpu.corrupt_proven_bit(pick, bit)
-        }
-        // I/O kinds are scheduled on the kernel; ProofCache fires at boot,
-        // on the machine layer, before this hook ever runs.
+        // I/O kinds are scheduled on the kernel; ProofCache is inert.
         _ => None,
     }
 }
@@ -389,23 +383,20 @@ mod tests {
 
     #[test]
     fn decode_faults_need_a_populated_decode_cache() {
-        // Fresh CPU, nothing decoded: both detector faults find no target.
+        // Fresh CPU, nothing decoded: the fault finds no target.
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::DecodeSlot, 0, 3);
-        inj.on_step(0, &mut cpu);
-        assert!(inj.applied().is_none());
-        let mut inj = hook(FaultKind::ProvenFlip, 0, 3);
         inj.on_step(0, &mut cpu);
         assert!(inj.applied().is_none());
         assert_eq!(cpu.stats().injected_faults, 0);
     }
 
     #[test]
-    fn proof_cache_is_inert_at_the_state_level() {
+    fn proof_cache_is_inert() {
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::ProofCache, 0, 3);
         inj.on_step(0, &mut cpu);
-        assert!(inj.applied().is_none(), "fires at boot, not at a step");
+        assert!(inj.applied().is_none());
     }
 
     #[test]

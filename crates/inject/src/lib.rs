@@ -16,9 +16,8 @@
 //!   multi-bit bursts, the register file, and L1/L2 cache lines — applied
 //!   by a [`StateInjector`] hooked into the execution driver.
 //! * **Meta-level** ([`FaultKind::targets_detector`]): faults aimed at the
-//!   detection machinery itself — whole-machine taint sweeps, decode-cache
-//!   slot corruption, ProvenClean-bitmap flips, and on-disk proof-cache
-//!   corruption. Crashes under these classify as
+//!   detection machinery itself — whole-machine taint sweeps and
+//!   decode-cache slot corruption. Crashes under these classify as
 //!   [`OutcomeClass::DetectorFault`] ("detector corrupted"), distinct from
 //!   [`OutcomeClass::GuestFault`] ("guest corrupted").
 //!

@@ -35,6 +35,13 @@ pub enum MemFaultKind {
     /// pointers (e.g. NULL) crashes realistically instead of silently reading
     /// zeroes.
     NullDeref,
+    /// A multi-byte range that runs past the top of the 32-bit address
+    /// space; `addr` is the range start.
+    Wraparound,
+    /// A bulk kernel copy out of a page that was never materialized —
+    /// `EFAULT` for an unmapped page; `addr` is the page's first byte (or
+    /// the range start, when that lies inside it).
+    NotResident,
 }
 
 impl fmt::Display for MemFault {
@@ -43,6 +50,12 @@ impl fmt::Display for MemFault {
             MemFaultKind::Unaligned => write!(f, "unaligned memory access at {:#010x}", self.addr),
             MemFaultKind::NullDeref => {
                 write!(f, "null-page dereference at {:#010x}", self.addr)
+            }
+            MemFaultKind::Wraparound => {
+                write!(f, "range at {:#010x} wraps past 0xffffffff", self.addr)
+            }
+            MemFaultKind::NotResident => {
+                write!(f, "non-resident page at {:#010x}", self.addr)
             }
         }
     }
@@ -195,6 +208,18 @@ impl TaintedMemory {
         Ok(())
     }
 
+    /// Faults when `[addr, addr + len)` runs past the top of the address
+    /// space. A range ending exactly at `0xffff_ffff` is in range.
+    pub(crate) fn check_range(addr: u32, len: u32) -> Result<(), MemFault> {
+        if u64::from(addr) + u64::from(len) > 1 << 32 {
+            return Err(MemFault {
+                kind: MemFaultKind::Wraparound,
+                addr,
+            });
+        }
+        Ok(())
+    }
+
     fn page(&mut self, addr: u32) -> &mut Page {
         let arc = self
             .pages
@@ -314,8 +339,9 @@ impl TaintedMemory {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8], tainted: bool) -> Result<(), MemFault> {
+        Self::check_range(addr, u32::try_from(data.len()).unwrap_or(u32::MAX))?;
         // One page lookup (and one null-guard check — the guard is
         // page-granular) per crossed page, not per byte. A fault mid-range
         // still leaves every byte of the preceding pages written, exactly
@@ -343,19 +369,63 @@ impl TaintedMemory {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, MemFault> {
+        Self::check_range(addr, len)?;
         (0..len)
             .map(|i| self.read_u8(addr + i).map(|(b, _)| b))
             .collect()
+    }
+
+    /// Appends the bytes of `[addr, addr + len)` to `out`, one slice copy
+    /// per page — the kernel's user→host copy for `write`/`send`. Every
+    /// page the range touches must be resident (written at least once):
+    /// like a kernel meeting an unmapped page, the copy faults
+    /// ([`MemFaultKind::NotResident`]) and leaves `out` untouched, so a
+    /// huge length over a small buffer costs no host memory.
+    ///
+    /// # Errors
+    ///
+    /// Faults when the range wraps, touches the null page, or touches a
+    /// page that is not resident.
+    pub fn append_resident(&self, addr: u32, len: u32, out: &mut Vec<u8>) -> Result<(), MemFault> {
+        Self::check_range(addr, len)?;
+        // Page-sized chunks of the range: (start, offset in page, length).
+        let chunks = || {
+            let mut i = 0;
+            std::iter::from_fn(move || {
+                (i < len).then(|| {
+                    let a = addr + i;
+                    let off = a % PAGE_SIZE;
+                    let run = (len - i).min(PAGE_SIZE - off);
+                    i += run;
+                    (a, off as usize, run as usize)
+                })
+            })
+        };
+        for (a, _, _) in chunks() {
+            self.check(a, 1)?;
+            if !self.pages.contains_key(&(a / PAGE_SIZE)) {
+                return Err(MemFault {
+                    kind: MemFaultKind::NotResident,
+                    addr: a,
+                });
+            }
+        }
+        out.reserve(len as usize);
+        for (a, off, run) in chunks() {
+            out.extend_from_slice(&self.pages[&(a / PAGE_SIZE)].data[off..off + run]);
+        }
+        Ok(())
     }
 
     /// Reads `len` taint bits starting at `addr`.
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn read_taint(&self, addr: u32, len: u32) -> Result<Vec<bool>, MemFault> {
+        Self::check_range(addr, len)?;
         (0..len)
             .map(|i| self.read_u8(addr + i).map(|(_, t)| t))
             .collect()
@@ -366,11 +436,16 @@ impl TaintedMemory {
     ///
     /// # Errors
     ///
-    /// Faults when the scan touches the null page.
+    /// Faults when the scan touches the null page or runs past
+    /// `0xffff_ffff`.
     pub fn read_cstr(&self, addr: u32, max: u32) -> Result<Vec<u8>, MemFault> {
         let mut out = Vec::new();
         for i in 0..max {
-            let (b, _) = self.read_u8(addr + i)?;
+            let a = addr.checked_add(i).ok_or(MemFault {
+                kind: MemFaultKind::Wraparound,
+                addr,
+            })?;
+            let (b, _) = self.read_u8(a)?;
             if b == 0 {
                 break;
             }
@@ -384,8 +459,9 @@ impl TaintedMemory {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn set_taint_range(&mut self, addr: u32, len: u32, tainted: bool) -> Result<(), MemFault> {
+        Self::check_range(addr, len)?;
         // Page lookup hoisted per crossed page, like `write_bytes`. The data
         // bytes are untouched; this flips shadow bits only.
         let mut i = 0;
@@ -468,6 +544,56 @@ impl TaintedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ranges_past_the_top_of_memory_fault() {
+        let mut mem = TaintedMemory::new();
+        let wrap = MemFault {
+            kind: MemFaultKind::Wraparound,
+            addr: 0xffff_fff0,
+        };
+        assert_eq!(mem.read_bytes(0xffff_fff0, 32), Err(wrap));
+        assert_eq!(mem.read_taint(0xffff_fff0, 32), Err(wrap));
+        assert_eq!(mem.set_taint_range(0xffff_fff0, 32, true), Err(wrap));
+        assert_eq!(mem.write_bytes(0xffff_fff0, &[1; 32], true), Err(wrap));
+        assert_eq!(
+            mem.append_resident(0xffff_fff0, 32, &mut Vec::new()),
+            Err(wrap)
+        );
+        assert_eq!(mem.page_count(), 0, "nothing written before the fault");
+        // A range ending exactly at 0xffffffff is in range.
+        mem.write_bytes(0xffff_fff0, &[7; 16], false).unwrap();
+        assert_eq!(mem.read_bytes(0xffff_fff0, 16).unwrap(), [7; 16]);
+        // An unterminated string scan runs off the top and faults...
+        assert_eq!(mem.read_cstr(0xffff_fff0, 32), Err(wrap));
+        // ...while a string that terminates before the top is read normally.
+        mem.write_u8(0xffff_fff4, 0, false).unwrap();
+        assert_eq!(mem.read_cstr(0xffff_fff0, 64).unwrap(), [7; 4]);
+    }
+
+    #[test]
+    fn append_resident_copies_only_materialized_pages() {
+        let mut mem = TaintedMemory::new();
+        let base = 0x1000_0000;
+        mem.write_bytes(base + PAGE_SIZE - 2, b"abcd", true)
+            .unwrap();
+        let mut out = b"> ".to_vec();
+        mem.append_resident(base + PAGE_SIZE - 2, 4, &mut out)
+            .unwrap();
+        assert_eq!(out, b"> abcd");
+        // A range that runs on into a never-written page copies nothing.
+        let fault = mem
+            .append_resident(base + PAGE_SIZE - 2, 2 * PAGE_SIZE, &mut out)
+            .unwrap_err();
+        assert_eq!(fault.kind, MemFaultKind::NotResident);
+        assert_eq!(fault.addr, base + 2 * PAGE_SIZE);
+        assert_eq!(out, b"> abcd");
+        // The null page faults as such.
+        assert_eq!(
+            mem.append_resident(0x10, 4, &mut out).unwrap_err().kind,
+            MemFaultKind::NullDeref
+        );
+    }
 
     #[test]
     fn zero_initialized_and_untainted() {

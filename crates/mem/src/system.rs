@@ -178,23 +178,6 @@ impl MemorySystem {
         self.code_watches.insert(page);
     }
 
-    /// Watches every page overlapping the byte range `[base, base + len)`.
-    ///
-    /// Check elision uses this to cover the *whole* text segment at boot:
-    /// the decode cache only watches pages it has predecoded, but a store
-    /// into a not-yet-executed text page must still void the statically
-    /// proven set before any stale proof can be consulted.
-    pub fn watch_code_range(&mut self, base: u32, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let first = base / PAGE_SIZE;
-        let last = base.saturating_add(len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            self.code_watches.insert(page);
-        }
-    }
-
     /// Whether any watched code page has been written since the last
     /// [`MemorySystem::take_dirty_code_pages`].
     #[must_use]
@@ -410,8 +393,9 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8], tainted: bool) -> Result<(), MemFault> {
+        TaintedMemory::check_range(addr, u32::try_from(data.len()).unwrap_or(u32::MAX))?;
         if self.l1.is_some() || self.l2.is_some() {
             // Caches want byte-wise write-through so resident lines patch.
             for (i, &b) in data.iter().enumerate() {
@@ -438,16 +422,28 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, MemFault> {
         self.mem.read_bytes(addr, len)
+    }
+
+    /// Appends `[addr, addr + len)` to `out` if every page it touches is
+    /// resident (see [`TaintedMemory::append_resident`]). Bypasses the
+    /// caches, like every bulk kernel copy.
+    ///
+    /// # Errors
+    ///
+    /// Faults when the range wraps, touches the null page, or touches a
+    /// page that is not resident; `out` is then untouched.
+    pub fn append_resident(&self, addr: u32, len: u32, out: &mut Vec<u8>) -> Result<(), MemFault> {
+        self.mem.append_resident(addr, len, out)
     }
 
     /// Bulk read of taint bits.
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn read_taint(&self, addr: u32, len: u32) -> Result<Vec<bool>, MemFault> {
         self.mem.read_taint(addr, len)
     }
@@ -456,7 +452,8 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Faults when the scan touches the null page.
+    /// Faults when the scan touches the null page or runs past
+    /// `0xffff_ffff`.
     pub fn read_cstr(&self, addr: u32, max: u32) -> Result<Vec<u8>, MemFault> {
         self.mem.read_cstr(addr, max)
     }
@@ -465,8 +462,9 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page or wraps.
     pub fn set_taint_range(&mut self, addr: u32, len: u32, tainted: bool) -> Result<(), MemFault> {
+        TaintedMemory::check_range(addr, len)?;
         for i in 0..len {
             let (b, _) = self.mem.read_u8(addr + i)?;
             self.write_u8(addr + i, b, tainted)?;
@@ -687,30 +685,5 @@ mod tests {
         cached.watch_code_page(page);
         cached.write_u16(0x0040_0002, 9, WordTaint::CLEAN).unwrap();
         assert_eq!(cached.take_dirty_code_pages(), vec![page]);
-    }
-
-    #[test]
-    fn code_range_watch_covers_every_overlapping_page() {
-        let mut sys = MemorySystem::flat();
-        // Three pages: a range from mid-page to mid-page two pages later.
-        let base = 0x0040_0000 + PAGE_SIZE / 2;
-        sys.watch_code_range(base, 2 * PAGE_SIZE);
-        // A store into the last (partially covered) page reports it.
-        sys.write_u8(base + 2 * PAGE_SIZE - 1, 7, false).unwrap();
-        assert_eq!(
-            sys.take_dirty_code_pages(),
-            vec![(base + 2 * PAGE_SIZE - 1) / PAGE_SIZE]
-        );
-        // First page is watched too.
-        sys.write_u8(base, 7, false).unwrap();
-        assert_eq!(sys.take_dirty_code_pages(), vec![base / PAGE_SIZE]);
-        // Just past the end is not.
-        sys.write_u8(base + 3 * PAGE_SIZE, 7, false).unwrap();
-        assert!(!sys.has_dirty_code_pages());
-        // Empty ranges watch nothing.
-        let mut empty = MemorySystem::flat();
-        empty.watch_code_range(0x0040_0000, 0);
-        empty.write_u8(0x0040_0000, 1, false).unwrap();
-        assert!(!empty.has_dirty_code_pages());
     }
 }

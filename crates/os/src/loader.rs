@@ -12,9 +12,9 @@ use crate::{Os, WorldConfig};
 pub const EXIT_STUB_BYTES: u32 = 16;
 
 /// The exit stub the loader appends directly after the text segment:
-/// `move $a0,$v0 ; li $v0,1 ; syscall ; break 1`. The static analyzer and
-/// the check-elision code watch must agree with the loader on these words,
-/// so this function is the single source of truth.
+/// `move $a0,$v0 ; li $v0,1 ; syscall ; break 1`. The static analyzer must
+/// agree with the loader on these words, so this function is the single
+/// source of truth.
 #[must_use]
 pub fn exit_stub() -> [Instr; 4] {
     [

@@ -640,42 +640,30 @@ impl Os {
         }
     }
 
+    /// Appends `len` guest bytes at `buf` straight into the descriptor's
+    /// sink. Like a kernel, a range that wraps or touches a non-resident
+    /// page fails with `-1` (EFAULT) before anything is copied; a length
+    /// past `i32::MAX` is a short write of `i32::MAX` bytes, so the count
+    /// is never negative.
     fn sys_write(&mut self, cpu: &mut Cpu, fd: i32, buf: u32, len: u32) -> i32 {
-        let data = match cpu.mem().read_bytes(buf, len) {
-            Ok(d) => d,
-            Err(_) => return -1,
-        };
-        match self.descriptors.get_mut(&fd) {
-            Some(Desc::StdOut) => {
-                self.stdout.extend_from_slice(&data);
-                len as i32
-            }
-            Some(Desc::StdErr) => {
-                self.stderr.extend_from_slice(&data);
-                len as i32
-            }
+        let sink = match self.descriptors.get(&fd) {
+            Some(Desc::StdOut) => &mut self.stdout,
+            Some(Desc::StdErr) => &mut self.stderr,
             Some(Desc::File {
                 path, write: true, ..
-            }) => {
-                self.files
-                    .entry(path.clone())
-                    .or_default()
-                    .extend_from_slice(&data);
-                len as i32
-            }
-            Some(Desc::Connection { session }) => {
-                let session = *session;
-                // Hardened: a dangling session index is a guest-visible
-                // error, not a host panic.
-                match self.sessions.get_mut(session) {
-                    Some(s) => {
-                        s.sent.extend_from_slice(&data);
-                        len as i32
-                    }
-                    None => -1,
-                }
-            }
-            _ => -1,
+            }) => self.files.entry(path.clone()).or_default(),
+            // Hardened: a dangling session index is a guest-visible error,
+            // not a host panic.
+            Some(Desc::Connection { session }) => match self.sessions.get_mut(*session) {
+                Some(s) => &mut s.sent,
+                None => return -1,
+            },
+            _ => return -1,
+        };
+        let len = len.min(i32::MAX as u32);
+        match cpu.mem().append_resident(buf, len, sink) {
+            Ok(()) => len as i32,
+            Err(_) => -1,
         }
     }
 
@@ -881,6 +869,27 @@ mod tests {
         assert_eq!(call(&mut os, &mut cpu, Sys::Write, 2, BUF, 5), 5);
         assert_eq!(os.stdout(), b"hello\n");
         assert_eq!(os.stderr(), b"oops\n");
+    }
+
+    #[test]
+    fn a_64_mib_write_from_a_small_buffer_faults_without_copying() {
+        let mut os = Os::new(WorldConfig::new());
+        let mut cpu = cpu();
+        cpu.mem_mut().write_bytes(BUF, b"abcd", false).unwrap();
+        let pages = cpu.mem().memory().page_count();
+        // The range runs far past the one resident page: EFAULT, and the
+        // sink never grows (not even its capacity).
+        assert_eq!(call(&mut os, &mut cpu, Sys::Write, 1, BUF, 64 << 20), -1);
+        assert!(os.stdout.is_empty());
+        assert_eq!(os.stdout.capacity(), 0);
+        assert_eq!(cpu.mem().memory().page_count(), pages);
+        // A range that wraps past 0xffffffff faults the same way.
+        assert_eq!(call(&mut os, &mut cpu, Sys::Write, 1, 0xffff_fff0, 32), -1);
+        // A length past i32::MAX from a small buffer is EFAULT too.
+        assert_eq!(call(&mut os, &mut cpu, Sys::Write, 1, BUF, u32::MAX), -1);
+        // The resident part still writes normally.
+        assert_eq!(call(&mut os, &mut cpu, Sys::Write, 1, BUF, 4), 4);
+        assert_eq!(os.stdout(), b"abcd");
     }
 
     #[test]

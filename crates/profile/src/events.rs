@@ -14,15 +14,13 @@ pub struct SiteCounters {
     pub flagged: u64,
     /// `alert` events (the detector actually raised).
     pub alerts: u64,
-    /// `check_elided` events (statically proven, probe skipped).
-    pub elided: u64,
 }
 
 impl SiteCounters {
     /// Sum of all counters — the site's heat.
     #[must_use]
     pub fn heat(&self) -> u64 {
-        self.propagations + self.checks + self.flagged + self.alerts + self.elided
+        self.propagations + self.checks + self.flagged + self.alerts
     }
 }
 
@@ -98,7 +96,6 @@ impl Observer for EventProfile {
                 }
             }
             Event::Alert { pc, .. } => self.site(*pc).alerts += 1,
-            Event::CheckElided { pc } => self.site(*pc).elided += 1,
             Event::Syscall { name, .. } => {
                 let steps = self.retired - self.last_syscall_retired;
                 self.last_syscall_retired = self.retired;
@@ -151,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn sites_aggregate_checks_and_elisions_by_pc() {
+    fn sites_aggregate_checks_by_pc() {
         let probe = Instr::Load {
             width: MemWidth::Word,
             signed: true,
@@ -168,12 +165,9 @@ mod tests {
             taint_bits: 0b1111,
             flagged: true,
         });
-        p.on_event(&Event::CheckElided { pc: 0x40_0104 });
-        p.on_event(&Event::CheckElided { pc: 0x40_0108 });
         let hot = p.sites[&0x40_0104];
-        assert_eq!((hot.checks, hot.flagged, hot.elided), (1, 1, 1));
-        assert_eq!(p.sites[&0x40_0108].elided, 1);
-        assert_eq!(hot.heat(), 3);
+        assert_eq!((hot.checks, hot.flagged), (1, 1));
+        assert_eq!(hot.heat(), 2);
     }
 
     #[test]

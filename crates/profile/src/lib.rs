@@ -16,7 +16,7 @@
 //!   directly flamegraph-compatible.
 //! * [`EventProfile`] — an [`Observer`](ptaint_trace::Observer) that
 //!   aggregates the taint event stream into a heatmap: per-site (pc)
-//!   propagation/check/alert/elision counters, taint sources by kind, and
+//!   propagation/check/alert counters, taint sources by kind, and
 //!   per-syscall count + step-latency accounting.
 //! * [`ProfileReport`] — the merge of the above, symbolized through a
 //!   [`SymbolTable`], with a hand-rolled [`to_json`](ProfileReport::to_json)

@@ -46,13 +46,11 @@ pub struct TaintSite {
     pub flagged: u64,
     /// Alerts raised here.
     pub alerts: u64,
-    /// Probes statically elided here.
-    pub elided: u64,
 }
 
 impl TaintSite {
     fn heat(&self) -> u64 {
-        self.propagations + self.checks + self.flagged + self.alerts + self.elided
+        self.propagations + self.checks + self.flagged + self.alerts
     }
 }
 
@@ -126,7 +124,6 @@ impl ProfileReport {
                 checks: c.checks,
                 flagged: c.flagged,
                 alerts: c.alerts,
-                elided: c.elided,
             })
             .collect();
         taint_sites.sort_by(|a, b| b.heat().cmp(&a.heat()).then(a.pc.cmp(&b.pc)));
@@ -183,7 +180,7 @@ impl ProfileReport {
         for site in self.taint_sites.iter().take(top) {
             let _ = writeln!(
                 out,
-                "  {:>12}  0x{:08x}  {}  [prop {} check {} flag {} alert {} elided {}]",
+                "  {:>12}  0x{:08x}  {}  [prop {} check {} flag {} alert {}]",
                 site.heat(),
                 site.pc,
                 site.symbol,
@@ -191,7 +188,6 @@ impl ProfileReport {
                 site.checks,
                 site.flagged,
                 site.alerts,
-                site.elided,
             );
         }
 
@@ -278,14 +274,13 @@ impl ToJson for ProfileReport {
             }
             let _ = write!(
                 out,
-                "{{\"pc\":\"0x{:x}\",\"symbol\":{},\"propagations\":{},\"checks\":{},\"flagged\":{},\"alerts\":{},\"elided\":{}}}",
+                "{{\"pc\":\"0x{:x}\",\"symbol\":{},\"propagations\":{},\"checks\":{},\"flagged\":{},\"alerts\":{}}}",
                 site.pc,
                 escape(&site.symbol),
                 site.propagations,
                 site.checks,
                 site.flagged,
-                site.alerts,
-                site.elided
+                site.alerts
             );
         }
 
@@ -336,6 +331,7 @@ impl ToJson for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptaint_isa::{Instr, Reg};
     use ptaint_trace::{Event, Observer};
 
     fn symtab() -> SymbolTable {
@@ -355,7 +351,14 @@ mod tests {
         hot.on_retire(0x40_0000);
         hot.on_retire(0x40_0104);
         let mut events = EventProfile::new();
-        events.on_event(&Event::CheckElided { pc: 0x40_0104 });
+        events.on_event(&Event::PointerCheck {
+            pc: 0x40_0104,
+            instr: Instr::JumpReg { rs: Reg::new(8) },
+            reg: Reg::new(8),
+            value: 0x6161_6161,
+            taint_bits: 0b1111,
+            flagged: true,
+        });
         events.on_event(&Event::TaintSource {
             kind: "syscall",
             label: "recv#1 fd=4".to_string(),

@@ -153,27 +153,6 @@ pub enum Event {
         /// (store into a cached text page dropped it).
         kind: &'static str,
     },
-    /// The static taint analyzer finished a pass over the guest image
-    /// (emitted once at boot when check elision is enabled).
-    StaticAnalysis {
-        /// Functions partitioned from the recovered control-flow graph.
-        functions: u64,
-        /// Basic blocks discovered.
-        blocks: u64,
-        /// Check sites proven clean (eligible for runtime elision).
-        proven: u64,
-        /// Check sites flagged as statically tainted in the lint report.
-        flagged: u64,
-        /// Whether the result was served from a persistent proof cache
-        /// (`true`) or computed by a cold fixpoint run (`false`).
-        cached: bool,
-    },
-    /// The cached engine skipped a pointer-taintedness check at a site the
-    /// static analyzer proved clean.
-    CheckElided {
-        /// Address of the instruction whose check was skipped.
-        pc: u32,
-    },
     /// The fault-injection harness applied a fault to this run.
     FaultInjected {
         /// Fault kind name (e.g. `"taint_clear"`, `"short_read"`).
@@ -196,11 +175,10 @@ pub enum Event {
         cow_faults: u64,
     },
     /// The periodic decode-cache integrity check tripped: the CPU dropped
-    /// every static proof, disabled check elision, and continues in
-    /// full-check (degraded) mode for the rest of the run.
+    /// every decoded page and continues, refilling from authoritative
+    /// memory.
     DegradedMode {
-        /// What the integrity check found (replica mismatch, checksum
-        /// mismatch, …).
+        /// What the integrity check found (a slot checksum mismatch).
         reason: String,
     },
     /// A replayed run issued a syscall its journal did not record, so
@@ -228,8 +206,6 @@ impl Event {
             Event::Syscall { .. } => "syscall",
             Event::CacheAccess { .. } => "cache_access",
             Event::DecodeCache { .. } => "decode_cache",
-            Event::StaticAnalysis { .. } => "static_analysis",
-            Event::CheckElided { .. } => "check_elided",
             Event::FaultInjected { .. } => "fault_injected",
             Event::Snapshot { .. } => "snapshot",
             Event::Fork { .. } => "fork",
@@ -319,18 +295,6 @@ impl Event {
                 "\"event\":\"decode_cache\",\"page\":{page},\"kind\":{}",
                 escape(kind),
             ),
-            Event::StaticAnalysis {
-                functions,
-                blocks,
-                proven,
-                flagged,
-                cached,
-            } => format!(
-                "\"event\":\"static_analysis\",\"functions\":{functions},\"blocks\":{blocks},\"proven\":{proven},\"flagged\":{flagged},\"cached\":{cached}",
-            ),
-            Event::CheckElided { pc } => {
-                format!("\"event\":\"check_elided\",\"pc\":\"0x{pc:x}\"")
-            }
             Event::FaultInjected { kind, detail } => format!(
                 "\"event\":\"fault_injected\",\"kind\":{},\"detail\":{}",
                 escape(kind),

@@ -193,7 +193,10 @@ mod tests {
         assert!(cfg.any(), "an interval alone must attach the observer");
         let mut hub = TraceHub::new(&cfg);
         for i in 0..5u32 {
-            hub.on_event(&Event::CheckElided { pc: i * 4 });
+            hub.on_event(&Event::FaultInjected {
+                kind: "taint_clear",
+                detail: String::new(),
+            });
             hub.on_event(&Event::Retire {
                 pc: i * 4,
                 instr: ptaint_isa::Instr::Break { code: 0 },
@@ -214,9 +217,9 @@ mod tests {
             snapshots[0]
         );
         assert!(snapshots[1].contains("\"retired\":4"), "{}", snapshots[1]);
-        // The snapshot reflects the stream so far (2 elisions by retire 2).
+        // The snapshot reflects the stream so far (2 faults by retire 2).
         assert!(
-            snapshots[0].contains("\"elided_checks\":2"),
+            snapshots[0].contains("\"faults_injected\":2"),
             "{}",
             snapshots[0]
         );

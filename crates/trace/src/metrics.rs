@@ -69,11 +69,6 @@ pub struct MetricsSnapshot {
     pub cache: [LevelCounters; 2],
     /// Decode-cache activity of the predecoded execution engine.
     pub decode_cache: DecodeCacheCounters,
-    /// Pointer-taintedness checks skipped at statically proven-clean sites.
-    pub elided_checks: u64,
-    /// Check sites the static analyzer proved clean (from the boot-time
-    /// [`Event::StaticAnalysis`] summary; zero when analysis never ran).
-    pub statically_proven: u64,
     /// Faults the injection harness applied (zero outside campaigns).
     pub faults_injected: u64,
     /// Applied faults broken down by fault-kind name.
@@ -110,7 +105,6 @@ impl ToJson for MetricsSnapshot {
                 "\"pointer_checks\":{},\"alerts\":{},\"alerts_by_kind\":{},",
                 "\"syscalls\":{},\"cache\":[{{\"hits\":{},\"misses\":{}}},{{\"hits\":{},\"misses\":{}}}],",
                 "\"decode_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},",
-                "\"elided_checks\":{},\"statically_proven\":{},",
                 "\"faults_injected\":{},\"faults_by_kind\":{},",
                 "\"pages_shared\":{},\"cow_faults\":{},",
                 "\"taint_density\":[{}]}}"
@@ -132,8 +126,6 @@ impl ToJson for MetricsSnapshot {
             self.decode_cache.hits,
             self.decode_cache.misses,
             self.decode_cache.invalidations,
-            self.elided_checks,
-            self.statically_proven,
             self.faults_injected,
             map(&self.faults_by_kind),
             self.pages_shared,
@@ -201,10 +193,6 @@ impl MetricsCollector {
                 "invalidate" => self.snap.decode_cache.invalidations += 1,
                 _ => self.snap.decode_cache.misses += 1,
             },
-            Event::StaticAnalysis { proven, .. } => {
-                self.snap.statically_proven += proven;
-            }
-            Event::CheckElided { .. } => self.snap.elided_checks += 1,
             Event::FaultInjected { kind, .. } => {
                 self.snap.faults_injected += 1;
                 *self.snap.faults_by_kind.entry(kind).or_insert(0) += 1;
@@ -351,29 +339,6 @@ mod tests {
             json.contains(
                 "\"faults_injected\":3,\"faults_by_kind\":{\"short_read\":1,\"taint_clear\":2}"
             ),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn elision_counters_fold_from_both_events() {
-        let mut m = MetricsCollector::new();
-        m.record(&Event::StaticAnalysis {
-            functions: 4,
-            blocks: 20,
-            proven: 13,
-            flagged: 2,
-            cached: false,
-        });
-        for pc in [0x400010, 0x400010, 0x400024] {
-            m.record(&Event::CheckElided { pc });
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.statically_proven, 13);
-        assert_eq!(snap.elided_checks, 3);
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"elided_checks\":3,\"statically_proven\":13"),
             "{json}"
         );
     }

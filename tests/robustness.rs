@@ -170,3 +170,15 @@ fn all_three_policies_agree_on_fully_benign_programs() {
         assert_eq!(out.stdout_text(), "1225", "{policy}");
     }
 }
+
+/// A `write` whose range runs past the top of the address space is an
+/// EFAULT (`-1`) for the guest in every build profile: the range check
+/// faults before any address arithmetic can overflow.
+#[test]
+fn write_past_the_top_of_memory_returns_efault() {
+    let out = Machine::from_c("int main() { return write(1, (char *)0xfffffff0, 32); }")
+        .unwrap()
+        .run();
+    assert_eq!(out.reason, ExitReason::Exited(-1));
+    assert!(out.stdout.is_empty());
+}

@@ -7,10 +7,8 @@
 //! experiments) must land on a site the static lint *flags* — a miss
 //! would mean the precision work taught the analyzer to talk itself out
 //! of a dereference that demonstrably goes tainted at runtime. The dual
-//! claim — an alert site must never be in the ProvenClean set — is the
-//! soundness half that `tests/elision_diff.rs` exercises end-to-end;
-//! asserting it here too localizes the failure to the analysis instead
-//! of a run-wide mismatch.
+//! claim — an alert site must never be in the proven-clean set — is the
+//! soundness half of the same gate.
 
 use ptaint::Machine;
 use ptaint_guest::apps::{

@@ -75,14 +75,6 @@ fn one_of_each() -> Vec<Event> {
             page: 0x400,
             kind: "invalidate",
         },
-        Event::StaticAnalysis {
-            functions: 26,
-            blocks: 405,
-            proven: 1074,
-            flagged: 0,
-            cached: false,
-        },
-        Event::CheckElided { pc: 0x40_0108 },
         Event::FaultInjected {
             kind: "taint_clear",
             detail: "taint cleared on [0x10000000, +256)".to_string(),
@@ -201,15 +193,6 @@ fn pinned_keys(event: &str) -> &'static [&'static str] {
         "syscall" => &["event", "pc", "number", "name", "result"],
         "cache_access" => &["event", "level", "addr", "hit"],
         "decode_cache" => &["event", "page", "kind"],
-        "static_analysis" => &[
-            "event",
-            "functions",
-            "blocks",
-            "proven",
-            "flagged",
-            "cached",
-        ],
-        "check_elided" => &["event", "pc"],
         "fault_injected" => &["event", "kind", "detail"],
         "snapshot" => &["event", "pages"],
         "fork" => &["event", "pages_shared", "cow_faults"],
