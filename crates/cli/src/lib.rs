@@ -50,10 +50,11 @@
 //!   --optimize            enable the mini-C peephole optimizer
 //!   --policy P            off | control-only | ptaint     (default: ptaint)
 //!   --engine E            interp | cached                  (default: cached)
-//!   -j N, --jobs N        worker threads, for the `analyze` fixpoint and
-//!                         for `inject` campaign shards (default for the
-//!                         latter: available parallelism); the output is
-//!                         byte-identical for every N (also `-jN`)
+//!   -j N, --jobs N        (analyze, inject) worker threads, for the
+//!                         `analyze` fixpoint and for `inject` campaign
+//!                         shards (default for the latter: available
+//!                         parallelism); the output is byte-identical for
+//!                         every N (also `-jN`)
 //!   --stdin FILE          feed FILE's bytes as standard input (tainted)
 //!   --stdin-text STRING   feed STRING as standard input (tainted)
 //!   --arg STRING          append a command-line argument (repeatable)
@@ -86,8 +87,10 @@
 //!   --trace-out FILE      write the structured event stream (JSONL) to FILE
 //!   --metrics-out FILE    write the aggregated metrics snapshot (JSON) to FILE
 //!   --metrics-interval N  interleave a `metrics_snapshot` record into the
-//!                         JSONL stream every N retired instructions
-//!                         (time-series metrics; needs --trace-out)
+//!                         JSONL stream each time the retired count reaches
+//!                         a multiple of N, after that instruction and any
+//!                         kernel work it trapped into (time-series metrics;
+//!                         needs --trace-out)
 //!   --profile-out FILE    write the profile JSON (per-PC histogram, taint
 //!                         heatmap, syscall table, collapsed stacks) to FILE
 //!   --provenance          track taint provenance; on a detection, print the
@@ -99,10 +102,11 @@
 //!
 //! The process exit code is the guest's exit status; detections exit 42;
 //! usage, read, and build errors exit 2, including an unreadable or
-//! malformed `--journal` file; `analyze` findings exit 3; a failure to
-//! write a requested artifact (`--trace-out`, `--metrics-out`,
-//! `--profile-out`, `--report`, `--journal-out`) exits 4 so scripts never
-//! mistake lost data for success.
+//! malformed `--journal` file and a subcommand's flag given outside it;
+//! `analyze` findings exit 3; a failure to write a requested artifact
+//! (`--trace-out`, `--metrics-out`, `--profile-out`, `--report`,
+//! `--journal-out`) exits 4 so scripts never mistake lost data for
+//! success.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -299,6 +303,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
             .cloned()
             .ok_or_else(|| UsageError(format!("`{flag}` needs a value")))
     };
+    // The first campaign flag seen, which only `inject` reads.
+    let mut inject_flag = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--asm" => opts.asm = true,
@@ -383,6 +389,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                 );
             }
             "--seed" => {
+                inject_flag.get_or_insert("--seed");
                 let v = value(&mut it, "--seed")?;
                 opts.seed = Some(
                     v.parse()
@@ -390,6 +397,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                 );
             }
             "--trials" => {
+                inject_flag.get_or_insert("--trials");
                 let v = value(&mut it, "--trials")?;
                 opts.trials = Some(
                     v.parse()
@@ -397,6 +405,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                 );
             }
             "--faults" => {
+                inject_flag.get_or_insert("--faults");
                 let v = value(&mut it, "--faults")?;
                 for token in v.split(',').filter(|t| !t.is_empty()) {
                     let kind = FaultKind::parse(token).ok_or_else(|| {
@@ -408,11 +417,20 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                     opts.fault_kinds.push(kind);
                 }
             }
-            "--fork" => opts.no_fork = false,
-            "--no-fork" => opts.no_fork = true,
+            "--fork" => {
+                inject_flag.get_or_insert("--fork");
+                opts.no_fork = false;
+            }
+            "--no-fork" => {
+                inject_flag.get_or_insert("--no-fork");
+                opts.no_fork = true;
+            }
             "--journal" => opts.journal_in = Some(value(&mut it, "--journal")?),
             "--journal-out" => opts.journal_out = Some(value(&mut it, "--journal-out")?),
-            "--report" => opts.report_out = Some(value(&mut it, "--report")?),
+            "--report" => {
+                inject_flag.get_or_insert("--report");
+                opts.report_out = Some(value(&mut it, "--report")?);
+            }
             "--trace-out" => opts.trace_out = Some(value(&mut it, "--trace-out")?),
             "--metrics-out" => opts.metrics_out = Some(value(&mut it, "--metrics-out")?),
             "--profile-out" => opts.profile_out = Some(value(&mut it, "--profile-out")?),
@@ -487,6 +505,16 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
         return Err(UsageError(
             "`--journal` only applies to the `replay` subcommand".into(),
         ));
+    }
+    if opts.jobs.is_some() && !(opts.analyze || opts.inject) {
+        return Err(UsageError(
+            "`-j`/`--jobs` only applies to the `analyze` and `inject` subcommands".into(),
+        ));
+    }
+    if let Some(flag) = inject_flag.filter(|_| !opts.inject) {
+        return Err(UsageError(format!(
+            "`{flag}` only applies to the `inject` subcommand"
+        )));
     }
     if opts.journal_out.is_some()
         && (opts.analyze
@@ -1002,14 +1030,39 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses_all_spellings() {
-        assert_eq!(parse(&["p.c"]).unwrap().jobs, None);
-        assert_eq!(parse(&["p.c", "-j", "4"]).unwrap().jobs, Some(4));
-        assert_eq!(parse(&["p.c", "--jobs", "2"]).unwrap().jobs, Some(2));
-        assert_eq!(parse(&["p.c", "-j8"]).unwrap().jobs, Some(8));
-        assert!(parse(&["p.c", "-j", "0"]).is_err());
-        assert!(parse(&["p.c", "-j0"]).is_err());
-        assert!(parse(&["p.c", "-jx"]).is_err());
-        assert!(parse(&["p.c", "--jobs", "NaN"]).is_err());
+        assert_eq!(parse(&["inject", "p.c"]).unwrap().jobs, None);
+        assert_eq!(parse(&["inject", "p.c", "-j", "4"]).unwrap().jobs, Some(4));
+        assert_eq!(
+            parse(&["inject", "p.c", "--jobs", "2"]).unwrap().jobs,
+            Some(2)
+        );
+        assert_eq!(parse(&["inject", "p.c", "-j8"]).unwrap().jobs, Some(8));
+        assert!(parse(&["inject", "p.c", "-j", "0"]).is_err());
+        assert!(parse(&["inject", "p.c", "-j0"]).is_err());
+        assert!(parse(&["inject", "p.c", "-jx"]).is_err());
+        assert!(parse(&["inject", "p.c", "--jobs", "NaN"]).is_err());
+    }
+
+    #[test]
+    fn subcommand_flags_are_rejected_outside_their_subcommand() {
+        // Nothing reads these on a plain run, so accepting them there would
+        // silently ignore them.
+        for args in [
+            &["p.c", "-j", "4"][..],
+            &["p.c", "--jobs", "2"],
+            &["p.c", "-j8"],
+            &["profile", "p.c", "-j2"],
+            &["p.c", "--seed", "7"],
+            &["p.c", "--trials", "4"],
+            &["p.c", "--faults", "eintr"],
+            &["p.c", "--report", "r.json"],
+            &["p.c", "--fork"],
+            &["analyze", "p.c", "--no-fork"],
+        ] {
+            let err = parse(args).unwrap_err().0;
+            assert!(err.contains("only applies to"), "{args:?}: {err}");
+        }
+        assert!(parse(&["analyze", "p.c", "-j2"]).is_ok());
     }
 
     #[test]

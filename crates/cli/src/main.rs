@@ -36,8 +36,9 @@ fn main() -> ExitCode {
              --optimize           peephole-optimize the generated code\n\
              --policy P           off | control-only | ptaint (default)\n\
              --engine E           interp | cached (default)\n\
-             -j N, --jobs N       worker threads: analysis fixpoint and\n\
-                                  inject campaign shards (also -jN);\n\
+             -j N, --jobs N       (analyze, inject) worker threads: the\n\
+                                  analysis fixpoint and campaign shards\n\
+                                  (also -jN);\n\
                                   byte-identical output for any N\n\
              --stdin FILE         stdin bytes from FILE (tainted)\n\
              --stdin-text STRING  stdin bytes inline (tainted)\n\
@@ -63,8 +64,10 @@ fn main() -> ExitCode {
              --trace-out FILE     write the event stream (JSONL) to FILE\n\
              --metrics-out FILE   write the metrics snapshot (JSON) to FILE\n\
              --metrics-interval N interleave a metrics_snapshot record into\n\
-                                  the JSONL stream every N retired\n\
-                                  instructions (needs --trace-out)\n\
+                                  the JSONL stream each time the retired\n\
+                                  count reaches a multiple of N, after\n\
+                                  that instruction's kernel work (needs\n\
+                                  --trace-out)\n\
              --profile-out FILE   write the profile JSON to FILE (counts\n\
                                   only; byte-deterministic)\n\
              --provenance         print the forensic taint chain on detection\n\
@@ -74,7 +77,7 @@ fn main() -> ExitCode {
              \n\
              exit code: guest status; 42 on a security detection; 2 on\n\
              usage/read/build errors, including a missing or malformed\n\
-             --journal file; 3 on analyze findings; 4 when a requested\n\
+             --journal file and a subcommand's flag given outside it; 3 on analyze findings; 4 when a requested\n\
              artifact file (--trace-out, --metrics-out, --profile-out,\n\
              --report, --journal-out) cannot be written"
         );

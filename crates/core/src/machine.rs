@@ -10,10 +10,14 @@ use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
-    load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
+    load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, StepHook, SyscallJournal,
+    WorldConfig,
 };
 use ptaint_profile::{EventProfile, ProfileReport, SymbolTable};
-use ptaint_trace::{Event, Observer, SharedObserver, TraceConfig, TraceHub, TraceReport};
+use ptaint_trace::{
+    Counters, DecodeCacheCounters, Event, Observer, SharedObserver, TraceConfig, TraceHub,
+    TraceReport,
+};
 use std::cell::RefCell;
 
 /// A configured guest machine: program image, outside world, detection
@@ -393,7 +397,9 @@ impl Machine {
         let hub = TraceHub::shared(cfg);
         let observer: SharedObserver = hub.clone();
         let (mut cpu, mut os) = self.boot_with(Some(observer));
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
+        let mut poller = CounterPoller::new(|now| hub.borrow_mut().poll(now));
+        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut poller);
+        poller.finish(&cpu);
         let tail = self.render_tail(&cpu);
         // Release the emulator's observer handles so the hub is uniquely
         // owned again and can be consumed into its report.
@@ -425,7 +431,9 @@ impl Machine {
         let observer: SharedObserver = fan.clone();
         let (mut cpu, mut os) = self.boot_with(Some(observer));
         cpu.enable_profiler();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
+        let mut poller = CounterPoller::new(|now| fan.borrow_mut().hub.poll(now));
+        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut poller);
+        poller.finish(&cpu);
         let tail = self.render_tail(&cpu);
         let hot = cpu.take_profiler().unwrap_or_default();
         drop(cpu);
@@ -549,6 +557,54 @@ impl MachineSnapshot {
     #[must_use]
     pub fn pages_shared(&self) -> usize {
         self.cpu.mem().pages_shared()
+    }
+}
+
+/// Polls the machine's counters into a trace hub, riding the step hook of
+/// `run_to_exit_with`: `poll` runs only when the retired count reaches the
+/// boundary the hub asked for last (a density window or a
+/// `metrics_snapshot` record), and [`CounterPoller::finish`] takes one
+/// last poll after the run.
+struct CounterPoller<F> {
+    poll: F,
+    due: u64,
+}
+
+impl<F: FnMut(Counters) -> u64> CounterPoller<F> {
+    fn new(poll: F) -> CounterPoller<F> {
+        CounterPoller { poll, due: 0 }
+    }
+
+    fn finish(mut self, cpu: &Cpu) {
+        (self.poll)(counters(cpu));
+    }
+}
+
+impl<F: FnMut(Counters) -> u64> StepHook for CounterPoller<F> {
+    fn on_step(&mut self, _step: u64, cpu: &mut Cpu) {
+        if cpu.stats().instructions >= self.due {
+            self.due = (self.poll)(counters(cpu));
+        }
+    }
+}
+
+/// The counters a metrics snapshot reports, read from `ExecStats` and the
+/// memory system's `CacheStats`.
+fn counters(cpu: &Cpu) -> Counters {
+    let stats = cpu.stats();
+    Counters {
+        retired: stats.instructions,
+        tainted_retired: stats.tainted_operand_instructions,
+        cache: [
+            cpu.mem().l1_stats().unwrap_or_default(),
+            cpu.mem().l2_stats().unwrap_or_default(),
+        ],
+        decode_cache: DecodeCacheCounters {
+            hits: stats.decode_cache_hits,
+            misses: stats.decode_cache_misses,
+            invalidations: stats.decode_cache_invalidations,
+        },
+        faults_injected: stats.injected_faults,
     }
 }
 

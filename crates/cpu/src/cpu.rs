@@ -231,11 +231,9 @@ impl Cpu {
         self.engine
     }
 
-    /// Attaches (or detaches) the structured-event observer. The same
-    /// observer is handed to the memory system so cache probes report to it
-    /// too. With no observer (the default) every hook is a `None` check.
+    /// Attaches (or detaches) the structured-event observer. With no
+    /// observer (the default) every hook is a `None` check.
     pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.mem.set_observer(observer.clone());
         self.observer = observer;
     }
 
@@ -547,9 +545,11 @@ impl Cpu {
         }
     }
 
+    /// Marks the step as reading a tainted operand; counted in
+    /// [`ExecStats::tainted_operand_instructions`] only if it retires, so
+    /// an alerting instruction never enters the ratio's numerator.
     fn note_tainted_operands(&mut self, taints: &[WordTaint]) {
         if taints.iter().any(|t| t.any()) {
-            self.stats.tainted_operand_instructions += 1;
             self.last_step_tainted = true;
         }
     }
@@ -641,12 +641,6 @@ impl Cpu {
             }
             if let Some(d) = self.dcache.lookup(pc) {
                 self.stats.decode_cache_hits += 1;
-                if self.observer.is_some() {
-                    self.emit_event(&Event::DecodeCache {
-                        page: pc / PAGE_SIZE,
-                        kind: "hit",
-                    });
-                }
                 return self.exec(pc, d);
             }
         }
@@ -656,10 +650,6 @@ impl Cpu {
         let d = DecodedInsn::predecode(pc, word).map_err(|err| CpuException::Decode { pc, err })?;
         if self.engine == Engine::Cached {
             self.stats.decode_cache_misses += 1;
-            self.emit_event(&Event::DecodeCache {
-                page: pc / PAGE_SIZE,
-                kind: "miss",
-            });
             self.dcache.fill_block(pc, self.mem.memory());
             self.mem.watch_code_page(pc / PAGE_SIZE);
         }
@@ -672,10 +662,6 @@ impl Cpu {
         for page in self.mem.take_dirty_code_pages() {
             if self.dcache.invalidate(page) {
                 self.stats.decode_cache_invalidations += 1;
-                self.emit_event(&Event::DecodeCache {
-                    page,
-                    kind: "invalidate",
-                });
             }
         }
     }
@@ -1048,19 +1034,13 @@ impl Cpu {
         }
 
         self.stats.instructions += 1;
+        self.stats.tainted_operand_instructions += u64::from(self.last_step_tainted);
         self.push_trace(pc, instr);
         if let Some(profiler) = &mut self.profiler {
             profiler.on_retire(pc);
             profiler.on_control(&instr, next_pc);
         }
         self.pc = next_pc;
-        if self.observer.is_some() {
-            self.emit_event(&Event::Retire {
-                pc,
-                instr,
-                tainted: self.last_step_tainted,
-            });
-        }
         Ok(event)
     }
 }

@@ -434,6 +434,7 @@ impl Os {
                 number,
                 name: Sys::from_number(number).map_or("unknown", Sys::name),
                 result,
+                retired: cpu.stats().instructions,
             });
         }
     }
@@ -538,6 +539,7 @@ impl Os {
                 number,
                 name: Sys::from_number(number).map_or("unknown", Sys::name),
                 result: entry.result,
+                retired: cpu.stats().instructions,
             });
         }
     }

@@ -56,7 +56,6 @@ pub struct EventProfile {
     pub sources: BTreeMap<&'static str, SourceAgg>,
     /// Syscall table by name.
     pub syscalls: BTreeMap<&'static str, SyscallAgg>,
-    retired: u64,
     last_syscall_retired: u64,
 }
 
@@ -67,12 +66,6 @@ impl EventProfile {
         EventProfile::default()
     }
 
-    /// Retired instructions observed (drives syscall step latency).
-    #[must_use]
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
     fn site(&mut self, pc: u32) -> &mut SiteCounters {
         self.sites.entry(pc).or_default()
     }
@@ -81,7 +74,6 @@ impl EventProfile {
 impl Observer for EventProfile {
     fn on_event(&mut self, event: &Event) {
         match event {
-            Event::Retire { .. } => self.retired += 1,
             Event::TaintSource { kind, len, .. } => {
                 let agg = self.sources.entry(*kind).or_default();
                 agg.count += 1;
@@ -96,9 +88,9 @@ impl Observer for EventProfile {
                 }
             }
             Event::Alert { pc, .. } => self.site(*pc).alerts += 1,
-            Event::Syscall { name, .. } => {
-                let steps = self.retired - self.last_syscall_retired;
-                self.last_syscall_retired = self.retired;
+            Event::Syscall { name, retired, .. } => {
+                let steps = retired - self.last_syscall_retired;
+                self.last_syscall_retired = *retired;
                 let agg = self.syscalls.entry(*name).or_default();
                 agg.count += 1;
                 agg.steps += steps;
@@ -113,35 +105,18 @@ mod tests {
     use super::*;
     use ptaint_isa::{Instr, MemWidth, Reg};
 
-    fn retire() -> Event {
-        Event::Retire {
-            pc: 0x40_0000,
-            instr: Instr::JumpReg { rs: Reg::RA },
-            tainted: false,
-        }
-    }
-
     #[test]
     fn syscall_latency_is_steps_since_previous_syscall() {
         let mut p = EventProfile::new();
-        for _ in 0..5 {
-            p.on_event(&retire());
+        for retired in [5, 8] {
+            p.on_event(&Event::Syscall {
+                pc: 0x40_0010,
+                number: 46,
+                name: "recv",
+                result: 4,
+                retired,
+            });
         }
-        p.on_event(&Event::Syscall {
-            pc: 0x40_0010,
-            number: 46,
-            name: "recv",
-            result: 4,
-        });
-        for _ in 0..3 {
-            p.on_event(&retire());
-        }
-        p.on_event(&Event::Syscall {
-            pc: 0x40_0010,
-            number: 46,
-            name: "recv",
-            result: 4,
-        });
         let recv = p.syscalls["recv"];
         assert_eq!(recv.count, 2);
         assert_eq!(recv.steps, 8);

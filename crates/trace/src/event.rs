@@ -30,7 +30,7 @@ impl fmt::Display for Loc {
 ///
 /// Transfers are only emitted when taint is actually in motion (some source
 /// or the destination is tainted), so the stream stays sparse relative to
-/// the retire stream.
+/// the instructions retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Address of the propagating instruction.
@@ -69,15 +69,6 @@ impl fmt::Display for Transfer {
 /// carry is either `Copy` or a short label built at the source site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// An instruction retired.
-    Retire {
-        /// Address of the retired instruction.
-        pc: u32,
-        /// The retired instruction.
-        instr: Instr,
-        /// Whether any of its operands carried taint.
-        tainted: bool,
-    },
     /// Fresh taint entered the guest from the outside world.
     TaintSource {
         /// Source category: `"syscall"`, `"argv"`, or `"env"`.
@@ -135,23 +126,10 @@ pub enum Event {
         name: &'static str,
         /// Result value written back to `$v0`.
         result: i32,
-    },
-    /// A cache level was probed.
-    CacheAccess {
-        /// Cache level (1 or 2).
-        level: u8,
-        /// The probed byte address.
-        addr: u32,
-        /// Whether the probe hit.
-        hit: bool,
-    },
-    /// The predecoded execution engine touched its decode cache.
-    DecodeCache {
-        /// The text page involved (byte address divided by the page size).
-        page: u32,
-        /// `"hit"`, `"miss"` (block predecoded), or `"invalidate"`
-        /// (store into a cached text page dropped it).
-        kind: &'static str,
+        /// Instructions retired when the trap was taken, the `syscall`
+        /// itself included (`ExecStats::instructions`): anchors the row in
+        /// the run's timeline.
+        retired: u64,
     },
     /// The fault-injection harness applied a fault to this run.
     FaultInjected {
@@ -198,14 +176,11 @@ impl Event {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Event::Retire { .. } => "retire",
             Event::TaintSource { .. } => "taint_source",
             Event::TaintPropagate(_) => "taint_propagate",
             Event::PointerCheck { .. } => "pointer_check",
             Event::Alert { .. } => "alert",
             Event::Syscall { .. } => "syscall",
-            Event::CacheAccess { .. } => "cache_access",
-            Event::DecodeCache { .. } => "decode_cache",
             Event::FaultInjected { .. } => "fault_injected",
             Event::Snapshot { .. } => "snapshot",
             Event::Fork { .. } => "fork",
@@ -219,10 +194,6 @@ impl Event {
     #[must_use]
     pub fn json_fields(&self) -> String {
         match self {
-            Event::Retire { pc, instr, tainted } => format!(
-                "\"event\":\"retire\",\"pc\":\"0x{pc:x}\",\"instr\":{},\"tainted\":{tainted}",
-                escape(&instr.to_string()),
-            ),
             Event::TaintSource {
                 kind,
                 label,
@@ -284,16 +255,10 @@ impl Event {
                 number,
                 name,
                 result,
+                retired,
             } => format!(
-                "\"event\":\"syscall\",\"pc\":\"0x{pc:x}\",\"number\":{number},\"name\":{},\"result\":{result}",
+                "\"event\":\"syscall\",\"pc\":\"0x{pc:x}\",\"number\":{number},\"name\":{},\"result\":{result},\"retired\":{retired}",
                 escape(name),
-            ),
-            Event::CacheAccess { level, addr, hit } => format!(
-                "\"event\":\"cache_access\",\"level\":{level},\"addr\":\"0x{addr:x}\",\"hit\":{hit}",
-            ),
-            Event::DecodeCache { page, kind } => format!(
-                "\"event\":\"decode_cache\",\"page\":{page},\"kind\":{}",
-                escape(kind),
             ),
             Event::FaultInjected { kind, detail } => format!(
                 "\"event\":\"fault_injected\",\"kind\":{},\"detail\":{}",
@@ -344,10 +309,11 @@ mod tests {
             number: 46,
             name: "recv",
             result: 128,
+            retired: 9,
         };
         assert_eq!(
             e.json_fields(),
-            "\"event\":\"syscall\",\"pc\":\"0x400010\",\"number\":46,\"name\":\"recv\",\"result\":128"
+            "\"event\":\"syscall\",\"pc\":\"0x400010\",\"number\":46,\"name\":\"recv\",\"result\":128,\"retired\":9"
         );
     }
 

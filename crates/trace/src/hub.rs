@@ -4,7 +4,7 @@
 use crate::event::Event;
 use crate::json::ToJson;
 use crate::jsonl::JsonlSink;
-use crate::metrics::{MetricsCollector, MetricsSnapshot};
+use crate::metrics::{Counters, MetricsCollector, MetricsSnapshot};
 use crate::provenance::{ForensicChain, ProvenanceTracker, DEFAULT_RING_DEPTH};
 use crate::Observer;
 use std::cell::RefCell;
@@ -73,7 +73,8 @@ pub struct TraceReport {
     pub forensic: Option<ForensicChain>,
 }
 
-/// Fans events out to the enabled sinks.
+/// Fans events out to the enabled sinks, and takes in the machine's
+/// [`Counters`] when the run loop polls it.
 #[derive(Debug, Default)]
 pub struct TraceHub {
     jsonl: Option<JsonlSink>,
@@ -81,10 +82,11 @@ pub struct TraceHub {
     provenance: Option<ProvenanceTracker>,
     /// `metrics_snapshot` cadence in retires; `0` = disabled.
     interval: u64,
-    /// Retires seen since the last periodic snapshot.
-    since_snapshot: u64,
-    /// Total retires seen (stamped into each snapshot record).
-    retired: u64,
+    /// Retired count of the next `metrics_snapshot` record (`u64::MAX`
+    /// when disabled).
+    next_record: u64,
+    /// The counters of the latest poll.
+    now: Counters,
 }
 
 impl TraceHub {
@@ -101,8 +103,8 @@ impl TraceHub {
                 .provenance
                 .then(|| ProvenanceTracker::new(cfg.ring_depth)),
             interval,
-            since_snapshot: 0,
-            retired: 0,
+            next_record: if interval > 0 { interval } else { u64::MAX },
+            now: Counters::default(),
         }
     }
 
@@ -118,12 +120,39 @@ impl TraceHub {
         self.provenance.as_ref()
     }
 
-    /// Consumes the hub into its collected artifacts.
+    /// Takes in the machine's counters: closes the density window and
+    /// writes the `metrics_snapshot` record that `now.retired` has reached.
+    /// The run loop calls this when the retired count reaches the value
+    /// returned by the previous call (`u64::MAX`: nothing is due), and
+    /// once more after the run ends, so the report's counters are final.
+    pub fn poll(&mut self, now: Counters) -> u64 {
+        self.now = now;
+        let Some(metrics) = &mut self.metrics else {
+            return u64::MAX;
+        };
+        metrics.poll(&now);
+        if now.retired >= self.next_record {
+            self.next_record += self.interval;
+            let fields = format!(
+                "\"event\":\"metrics_snapshot\",\"retired\":{},\"metrics\":{}",
+                now.retired,
+                metrics.snapshot(&now).to_json()
+            );
+            self.jsonl
+                .as_mut()
+                .expect("interval forces the jsonl sink")
+                .record_fields(&fields);
+        }
+        metrics.window_end().min(self.next_record)
+    }
+
+    /// Consumes the hub into its collected artifacts; the metrics carry
+    /// the counters of the latest [`TraceHub::poll`].
     #[must_use]
     pub fn into_report(self) -> TraceReport {
         TraceReport {
             jsonl: self.jsonl.map(JsonlSink::into_bytes),
-            metrics: self.metrics.map(MetricsCollector::snapshot),
+            metrics: self.metrics.map(|m| m.snapshot(&self.now)),
             forensic: self.provenance.and_then(ProvenanceTracker::into_last_chain),
         }
     }
@@ -140,29 +169,6 @@ impl Observer for TraceHub {
         if let Some(provenance) = &mut self.provenance {
             provenance.record(event);
         }
-        // Periodic time-series snapshot, after the retire has been folded so
-        // the record covers everything up to and including it.
-        if self.interval > 0 && matches!(event, Event::Retire { .. }) {
-            self.retired += 1;
-            self.since_snapshot += 1;
-            if self.since_snapshot == self.interval {
-                self.since_snapshot = 0;
-                let snap = self
-                    .metrics
-                    .as_ref()
-                    .expect("interval forces the metrics sink")
-                    .peek();
-                let fields = format!(
-                    "\"event\":\"metrics_snapshot\",\"retired\":{},\"metrics\":{}",
-                    self.retired,
-                    snap.to_json()
-                );
-                self.jsonl
-                    .as_mut()
-                    .expect("interval forces the jsonl sink")
-                    .record_fields(&fields);
-            }
-        }
     }
 }
 
@@ -170,14 +176,18 @@ impl Observer for TraceHub {
 mod tests {
     use super::*;
 
+    fn retired(retired: u64) -> Counters {
+        Counters {
+            retired,
+            ..Counters::default()
+        }
+    }
+
     #[test]
     fn disabled_hub_collects_nothing() {
         let mut hub = TraceHub::new(&TraceConfig::default());
-        hub.on_event(&Event::CacheAccess {
-            level: 1,
-            addr: 0,
-            hit: true,
-        });
+        hub.on_event(&Event::Snapshot { pages: 1 });
+        assert_eq!(hub.poll(retired(10)), u64::MAX, "nothing is ever due");
         let report = hub.into_report();
         assert!(report.jsonl.is_none());
         assert!(report.metrics.is_none());
@@ -192,24 +202,31 @@ mod tests {
         };
         assert!(cfg.any(), "an interval alone must attach the observer");
         let mut hub = TraceHub::new(&cfg);
-        for i in 0..5u32 {
+        // Drive the hub the way the run loop does: poll only when the
+        // retired count reaches the value the previous poll returned.
+        let mut due = hub.poll(retired(0));
+        assert_eq!(due, 2);
+        for n in 1..=5u64 {
             hub.on_event(&Event::FaultInjected {
                 kind: "taint_clear",
                 detail: String::new(),
             });
-            hub.on_event(&Event::Retire {
-                pc: i * 4,
-                instr: ptaint_isa::Instr::Break { code: 0 },
-                tainted: i % 2 == 0,
-            });
+            if n >= due {
+                due = hub.poll(Counters {
+                    retired: n,
+                    faults_injected: n,
+                    ..Counters::default()
+                });
+            }
         }
+        hub.poll(retired(5));
         let report = hub.into_report();
         let jsonl = String::from_utf8(report.jsonl.unwrap()).unwrap();
         let snapshots: Vec<&str> = jsonl
             .lines()
             .filter(|l| l.contains("\"event\":\"metrics_snapshot\""))
             .collect();
-        // 5 retires at interval 2 => snapshots after retire 2 and 4.
+        // 5 retires at interval 2 => snapshots at retire 2 and 4.
         assert_eq!(snapshots.len(), 2);
         assert!(
             snapshots[0].contains("\"retired\":2,\"metrics\":{\"retired\":2,"),
@@ -217,17 +234,17 @@ mod tests {
             snapshots[0]
         );
         assert!(snapshots[1].contains("\"retired\":4"), "{}", snapshots[1]);
-        // The snapshot reflects the stream so far (2 faults by retire 2).
+        // The snapshot reflects the stream and the counters so far.
         assert!(
-            snapshots[0].contains("\"faults_injected\":2"),
+            snapshots[0].contains("\"faults_injected\":2,\"faults_by_kind\":{\"taint_clear\":2}"),
             "{}",
             snapshots[0]
         );
-        // Sequence numbers stay dense across interleaved records: 10 events
-        // + 2 snapshots = 12 lines numbered 0..=11.
-        assert_eq!(jsonl.lines().count(), 12);
-        assert!(jsonl.lines().last().unwrap().starts_with("{\"seq\":11,"));
-        // The final consuming snapshot still works and saw every retire.
+        // Sequence numbers stay dense across interleaved records: 5 events
+        // + 2 snapshots = 7 lines numbered 0..=6.
+        assert_eq!(jsonl.lines().count(), 7);
+        assert!(jsonl.lines().last().unwrap().starts_with("{\"seq\":6,"));
+        // The final snapshot carries the last poll's counters.
         assert_eq!(report.metrics.unwrap().retired, 5);
     }
 

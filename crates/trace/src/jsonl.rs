@@ -38,28 +38,10 @@ impl JsonlSink {
         self.seq += 1;
     }
 
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.seq
-    }
-
-    /// Whether no events have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.seq == 0
-    }
-
     /// The accumulated JSONL bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// A borrowed view of the accumulated bytes.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -70,17 +52,13 @@ mod tests {
     #[test]
     fn lines_carry_monotonic_sequence_numbers() {
         let mut sink = JsonlSink::new();
-        for i in 0..3u32 {
-            sink.record(&Event::CacheAccess {
-                level: 1,
-                addr: i,
-                hit: false,
-            });
+        for pages in 0..3u64 {
+            sink.record(&Event::Snapshot { pages });
         }
         let text = String::from_utf8(sink.into_bytes()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"seq\":0,\"event\":\"cache_access\""));
+        assert!(lines[0].starts_with("{\"seq\":0,\"event\":\"snapshot\""));
         assert!(lines[2].starts_with("{\"seq\":2,"));
         assert!(lines.iter().all(|l| l.ends_with('}')));
     }

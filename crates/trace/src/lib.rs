@@ -11,6 +11,11 @@
 //! ([`ForensicChain`]) from the tainting input byte to the dereferenced
 //! pointer.
 //!
+//! Events carry facts whose order matters; nothing is emitted per retired
+//! instruction or cache probe. Those counts stay in the machine
+//! (`ExecStats`, [`ptaint_mem::CacheStats`]), and the run loop copies them
+//! into the hub with [`TraceHub::poll`].
+//!
 //! ## Zero cost when disabled
 //!
 //! The emulator holds an `Option<SharedObserver>`; when it is `None` (the
@@ -21,7 +26,7 @@
 //! ## Wiring
 //!
 //! ```
-//! use ptaint_trace::{Event, Observer, TraceConfig, TraceHub};
+//! use ptaint_trace::{Counters, Event, Observer, TraceConfig, TraceHub};
 //!
 //! let hub = TraceHub::shared(&TraceConfig::all());
 //! // The emulator would hold a clone of `hub` and call on_event at hooks:
@@ -31,8 +36,15 @@
 //!     base: 0x1000_0000,
 //!     len: 512,
 //! });
+//! // ...and the run loop polls the machine's counters into it.
+//! hub.borrow_mut().poll(Counters {
+//!     retired: 40,
+//!     tainted_retired: 3,
+//!     ..Counters::default()
+//! });
 //! let report = std::rc::Rc::try_unwrap(hub).unwrap().into_inner().into_report();
-//! assert_eq!(report.metrics.unwrap().taint_sources, 1);
+//! let metrics = report.metrics.unwrap();
+//! assert_eq!((metrics.taint_sources, metrics.retired), (1, 40));
 //! ```
 
 use std::cell::RefCell;
@@ -50,7 +62,7 @@ pub use hub::{TraceConfig, TraceHub, TraceReport};
 pub use json::ToJson;
 pub use jsonl::JsonlSink;
 pub use metrics::{
-    DecodeCacheCounters, LevelCounters, MetricsCollector, MetricsSnapshot, DENSITY_WINDOW,
+    Counters, DecodeCacheCounters, MetricsCollector, MetricsSnapshot, DENSITY_WINDOW,
 };
 pub use provenance::{ForensicChain, ProvenanceTracker, SourceInfo, DEFAULT_RING_DEPTH};
 
@@ -66,5 +78,5 @@ pub trait Observer {
 
 /// The shape the emulator holds observers in. The emulator is
 /// single-threaded, so `Rc<RefCell<…>>` is the right amount of machinery:
-/// the CPU, memory system, and OS model each hold a clone.
+/// the CPU holds it, and the OS model and loader emit through the CPU.
 pub type SharedObserver = Rc<RefCell<dyn Observer>>;

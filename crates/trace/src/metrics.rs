@@ -1,36 +1,16 @@
-//! In-memory metrics aggregated from the event stream.
+//! Run metrics: the machine's own counters plus the ordered facts folded
+//! from the event stream.
 
 use crate::event::Event;
 use crate::json::{escape, ToJson};
+use ptaint_mem::CacheStats;
 use std::collections::BTreeMap;
 
 /// Retire-count width of one taint-density window.
 pub const DENSITY_WINDOW: u64 = 1024;
 
-/// Hit/miss counters for one cache level, as observed through events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelCounters {
-    /// Probes that hit.
-    pub hits: u64,
-    /// Probes that missed.
-    pub misses: u64,
-}
-
-impl LevelCounters {
-    /// Fraction of probes that hit, or 0 when the level was never probed.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Decode-cache counters of the predecoded execution engine, as observed
-/// through [`Event::DecodeCache`].
+/// Decode-cache counters of the predecoded execution engine (the
+/// `ExecStats::decode_cache_*` fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheCounters {
     /// Steps dispatched straight from the decode cache.
@@ -40,6 +20,24 @@ pub struct DecodeCacheCounters {
     pub misses: u64,
     /// Cached text pages dropped because something stored into them.
     pub invalidations: u64,
+}
+
+/// The machine's counters at one instant. This crate sits below the CPU,
+/// so the run loop copies them in from `ExecStats` and the memory system's
+/// [`CacheStats`] whenever it polls the hub.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Instructions retired (`ExecStats::instructions`).
+    pub retired: u64,
+    /// Retired instructions that read a tainted operand
+    /// (`ExecStats::tainted_operand_instructions`).
+    pub tainted_retired: u64,
+    /// L1/L2 probe counters (index 0 = L1; zero for an absent level).
+    pub cache: [CacheStats; 2],
+    /// Decode-cache activity of the predecoded execution engine.
+    pub decode_cache: DecodeCacheCounters,
+    /// Faults the injection harness applied (`ExecStats::injected_faults`).
+    pub faults_injected: u64,
 }
 
 /// Aggregated view of one run, produced by [`MetricsCollector::snapshot`].
@@ -66,7 +64,7 @@ pub struct MetricsSnapshot {
     /// Syscalls handled, by mnemonic.
     pub syscalls: BTreeMap<&'static str, u64>,
     /// L1/L2 probe counters (index 0 = L1).
-    pub cache: [LevelCounters; 2],
+    pub cache: [CacheStats; 2],
     /// Decode-cache activity of the predecoded execution engine.
     pub decode_cache: DecodeCacheCounters,
     /// Faults the injection harness applied (zero outside campaigns).
@@ -135,12 +133,14 @@ impl ToJson for MetricsSnapshot {
     }
 }
 
-/// Streams events into a [`MetricsSnapshot`].
+/// Folds the ordered facts of the event stream (sources, propagations,
+/// checks, alerts, syscalls, faults by kind, forks) and closes the
+/// taint-density windows as the run loop polls the machine's [`Counters`].
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
     snap: MetricsSnapshot,
-    window_retired: u64,
-    window_tainted: u64,
+    /// `(retired, tainted_retired)` where the open density window began.
+    window: (u64, u64),
 }
 
 impl MetricsCollector {
@@ -153,17 +153,6 @@ impl MetricsCollector {
     /// Folds one event into the counters.
     pub fn record(&mut self, event: &Event) {
         match event {
-            Event::Retire { tainted, .. } => {
-                self.snap.retired += 1;
-                self.window_retired += 1;
-                if *tainted {
-                    self.snap.tainted_retired += 1;
-                    self.window_tainted += 1;
-                }
-                if self.window_retired == DENSITY_WINDOW {
-                    self.flush_window();
-                }
-            }
             Event::TaintSource { len, .. } => {
                 self.snap.taint_sources += 1;
                 self.snap.source_bytes += u64::from(*len);
@@ -180,21 +169,7 @@ impl MetricsCollector {
             Event::Syscall { name, .. } => {
                 *self.snap.syscalls.entry(name).or_insert(0) += 1;
             }
-            Event::CacheAccess { level, hit, .. } => {
-                let idx = usize::from(*level).saturating_sub(1).min(1);
-                if *hit {
-                    self.snap.cache[idx].hits += 1;
-                } else {
-                    self.snap.cache[idx].misses += 1;
-                }
-            }
-            Event::DecodeCache { kind, .. } => match *kind {
-                "hit" => self.snap.decode_cache.hits += 1,
-                "invalidate" => self.snap.decode_cache.invalidations += 1,
-                _ => self.snap.decode_cache.misses += 1,
-            },
             Event::FaultInjected { kind, .. } => {
-                self.snap.faults_injected += 1;
                 *self.snap.faults_by_kind.entry(kind).or_insert(0) += 1;
             }
             // Snapshot captures, replay divergences and degraded-mode
@@ -214,33 +189,47 @@ impl MetricsCollector {
         }
     }
 
-    fn flush_window(&mut self) {
-        if self.window_retired > 0 {
-            self.snap
-                .taint_density
-                .push(self.window_tainted as f64 / self.window_retired as f64);
+    /// Retired count at which the open density window closes.
+    #[must_use]
+    pub fn window_end(&self) -> u64 {
+        self.window.0 + DENSITY_WINDOW
+    }
+
+    /// Closes the open density window when `now` has reached its end. The
+    /// run loop polls on every retire boundary it cares about, so `now`
+    /// lands exactly on the edge and the window spans [`DENSITY_WINDOW`]
+    /// instructions.
+    pub fn poll(&mut self, now: &Counters) {
+        if now.retired >= self.window_end() {
+            let density = self.open_window_density(now);
+            self.snap.taint_density.push(density);
+            self.window = (now.retired, now.tainted_retired);
         }
-        self.window_retired = 0;
-        self.window_tainted = 0;
     }
 
-    /// Finishes the trailing density window and returns the totals.
-    #[must_use]
-    pub fn snapshot(mut self) -> MetricsSnapshot {
-        self.flush_window();
-        self.snap
+    /// Tainted fraction of the instructions retired since the open window
+    /// began.
+    fn open_window_density(&self, now: &Counters) -> f64 {
+        let (retired, tainted) = self.window;
+        (now.tainted_retired - tainted) as f64 / (now.retired - retired) as f64
     }
 
-    /// A point-in-time copy of the totals *without* consuming the collector
-    /// — the trailing partial density window is appended to the copy but
-    /// collection continues unperturbed. Drives the periodic
-    /// `metrics_snapshot` records of `--metrics-interval`.
+    /// The totals as of `now`: the folded events, the machine counters,
+    /// and the density windows, with the open one appended when it holds
+    /// any instruction. Collection continues unperturbed, so this serves
+    /// both the periodic `metrics_snapshot` records and the final report.
     #[must_use]
-    pub fn peek(&self) -> MetricsSnapshot {
-        let mut snap = self.snap.clone();
-        if self.window_retired > 0 {
-            snap.taint_density
-                .push(self.window_tainted as f64 / self.window_retired as f64);
+    pub fn snapshot(&self, now: &Counters) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
+            retired: now.retired,
+            tainted_retired: now.tainted_retired,
+            cache: now.cache,
+            decode_cache: now.decode_cache,
+            faults_injected: now.faults_injected,
+            ..self.snap.clone()
+        };
+        if now.retired > self.window.0 {
+            snap.taint_density.push(self.open_window_density(now));
         }
         snap
     }
@@ -249,96 +238,66 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptaint_isa::Instr;
 
-    fn retire(tainted: bool) -> Event {
-        Event::Retire {
-            pc: 0x400000,
-            instr: Instr::Break { code: 0 },
-            tainted,
+    fn at(retired: u64, tainted_retired: u64) -> Counters {
+        Counters {
+            retired,
+            tainted_retired,
+            ..Counters::default()
         }
     }
 
     #[test]
     fn density_windows_capture_the_tainted_fraction() {
         let mut m = MetricsCollector::new();
-        for i in 0..DENSITY_WINDOW {
-            m.record(&retire(i < DENSITY_WINDOW / 4));
-        }
-        for _ in 0..10 {
-            m.record(&retire(true));
-        }
-        let snap = m.snapshot();
+        assert_eq!(m.window_end(), DENSITY_WINDOW);
+        // Polls before the edge close nothing.
+        m.poll(&at(DENSITY_WINDOW - 1, 3));
+        m.poll(&at(DENSITY_WINDOW, DENSITY_WINDOW / 4));
+        assert_eq!(m.window_end(), 2 * DENSITY_WINDOW);
+        let snap = m.snapshot(&at(DENSITY_WINDOW + 10, DENSITY_WINDOW / 4 + 10));
         assert_eq!(snap.retired, DENSITY_WINDOW + 10);
         assert_eq!(snap.tainted_retired, DENSITY_WINDOW / 4 + 10);
         assert_eq!(snap.taint_density.len(), 2);
         assert!((snap.taint_density[0] - 0.25).abs() < 1e-9);
         assert!((snap.taint_density[1] - 1.0).abs() < 1e-9);
+        // A snapshot on the edge of a closed window adds no empty window.
+        assert_eq!(m.snapshot(&at(DENSITY_WINDOW, 0)).taint_density.len(), 1);
     }
 
     #[test]
     fn breakdown_maps_count_by_name() {
         let mut m = MetricsCollector::new();
-        m.record(&Event::Syscall {
-            pc: 0,
-            number: 46,
-            name: "recv",
-            result: 16,
-        });
-        m.record(&Event::Syscall {
-            pc: 4,
-            number: 46,
-            name: "recv",
-            result: 0,
-        });
+        for result in [16, 0] {
+            m.record(&Event::Syscall {
+                pc: 0,
+                number: 46,
+                name: "recv",
+                result,
+                retired: 1,
+            });
+        }
         m.record(&Event::TaintSource {
             kind: "syscall",
             label: "recv#1".to_string(),
             base: 0x1000,
             len: 16,
         });
-        let snap = m.snapshot();
-        assert_eq!(snap.syscalls.get("recv"), Some(&2));
-        assert_eq!(snap.taint_sources, 1);
-        assert_eq!(snap.source_bytes, 16);
-        let json = snap.to_json();
-        assert!(json.contains("\"syscalls\":{\"recv\":2}"), "{json}");
-    }
-
-    #[test]
-    fn decode_cache_counters_fold_by_kind() {
-        let mut m = MetricsCollector::new();
-        for kind in ["miss", "hit", "hit", "invalidate", "miss"] {
-            m.record(&Event::DecodeCache { page: 0x400, kind });
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.decode_cache.hits, 2);
-        assert_eq!(snap.decode_cache.misses, 2);
-        assert_eq!(snap.decode_cache.invalidations, 1);
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"decode_cache\":{\"hits\":2,\"misses\":2,\"invalidations\":1}"),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn fault_injection_counters_fold_by_kind() {
-        let mut m = MetricsCollector::new();
         for kind in ["taint_clear", "short_read", "taint_clear"] {
             m.record(&Event::FaultInjected {
                 kind,
                 detail: "x".to_string(),
             });
         }
-        let snap = m.snapshot();
-        assert_eq!(snap.faults_injected, 3);
+        let snap = m.snapshot(&Counters::default());
+        assert_eq!(snap.syscalls.get("recv"), Some(&2));
+        assert_eq!(snap.taint_sources, 1);
+        assert_eq!(snap.source_bytes, 16);
         assert_eq!(snap.faults_by_kind.get("taint_clear"), Some(&2));
         let json = snap.to_json();
+        assert!(json.contains("\"syscalls\":{\"recv\":2}"), "{json}");
         assert!(
-            json.contains(
-                "\"faults_injected\":3,\"faults_by_kind\":{\"short_read\":1,\"taint_clear\":2}"
-            ),
+            json.contains("\"faults_by_kind\":{\"short_read\":1,\"taint_clear\":2}"),
             "{json}"
         );
     }

@@ -120,3 +120,16 @@ fn attack_world_tainted_bytes_are_accounted() {
     assert_eq!(out.tainted_input_bytes, 24);
     assert!(out.stats.tainted_operand_instructions > 0);
 }
+
+#[test]
+fn tainted_operand_count_excludes_the_alerting_instruction() {
+    // The alerting `jr $31` reads a tainted operand but never retires, so
+    // it is not counted: numerator and denominator of the tainted
+    // instruction ratio cover the same retired instructions.
+    let out = Machine::from_c(synthetic::EXP1_SOURCE)
+        .unwrap()
+        .world(synthetic::exp1_attack_world())
+        .run();
+    assert!(out.reason.is_detected(), "{:?}", out.reason);
+    assert_eq!(out.stats.tainted_operand_instructions, 446);
+}

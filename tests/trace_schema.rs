@@ -6,7 +6,10 @@ use ptaint::{
     AlertKind, DetectionPolicy, ExitReason, HierarchyConfig, Machine, TraceConfig, WorldConfig,
 };
 use ptaint_isa::{Instr, MemWidth, Reg};
-use ptaint_trace::{Event, JsonlSink, Loc, MetricsCollector, ToJson, Transfer};
+use ptaint_mem::CacheStats;
+use ptaint_trace::{
+    Counters, DecodeCacheCounters, Event, JsonlSink, Loc, MetricsCollector, ToJson, Transfer,
+};
 
 /// One hand-built event of every variant, in a fixed order.
 fn one_of_each() -> Vec<Event> {
@@ -60,20 +63,7 @@ fn one_of_each() -> Vec<Event> {
             number: 46,
             name: "recv",
             result: 4,
-        },
-        Event::Retire {
-            pc: 0x40_0104,
-            instr: probe,
-            tainted: true,
-        },
-        Event::CacheAccess {
-            level: 1,
-            addr: 0x1000_0000,
-            hit: false,
-        },
-        Event::DecodeCache {
-            page: 0x400,
-            kind: "invalidate",
+            retired: 1,
         },
         Event::FaultInjected {
             kind: "taint_clear",
@@ -85,7 +75,7 @@ fn one_of_each() -> Vec<Event> {
             cow_faults: 3,
         },
         Event::DegradedMode {
-            reason: "proven bitmap replica mismatch on page 0x00400000".to_string(),
+            reason: "decoded slot checksum mismatch on page 0x00400000".to_string(),
         },
         Event::ReplayDivergence {
             index: 7,
@@ -105,10 +95,28 @@ fn golden_file_pins_every_event_rendering() {
     }
     // The periodic `metrics_snapshot` row is not an `Event` variant — it is
     // a raw record interleaved into the same stream (sharing its dense seq
-    // space) by the hub's `--metrics-interval` support. Pin it the same way.
+    // space) by the hub's `--metrics-interval` support. Pin it the same way,
+    // with machine counters for one tainted retire, one L1 miss, one
+    // decode-cache invalidation and the one injected fault.
+    let now = Counters {
+        retired: 1,
+        tainted_retired: 1,
+        cache: [
+            CacheStats {
+                misses: 1,
+                ..CacheStats::default()
+            },
+            CacheStats::default(),
+        ],
+        decode_cache: DecodeCacheCounters {
+            invalidations: 1,
+            ..DecodeCacheCounters::default()
+        },
+        faults_injected: 1,
+    };
     sink.record_fields(&format!(
         "\"event\":\"metrics_snapshot\",\"retired\":1,\"metrics\":{}",
-        metrics.peek().to_json()
+        metrics.snapshot(&now).to_json()
     ));
     let got = String::from_utf8(sink.into_bytes()).unwrap();
     // `BLESS=1 cargo test --test trace_schema` regenerates the golden file
@@ -183,16 +191,13 @@ fn keys_of(line: &str) -> Vec<String> {
 /// The pinned field order for each event discriminant (after `"seq"`).
 fn pinned_keys(event: &str) -> &'static [&'static str] {
     match event {
-        "retire" => &["event", "pc", "instr", "tainted"],
         "taint_source" => &["event", "kind", "label", "base", "len"],
         "taint_propagate" => &["event", "pc", "instr", "rule", "dst", "srcs", "taint"],
         "pointer_check" => &["event", "pc", "instr", "reg", "value", "taint", "flagged"],
         "alert" => &[
             "event", "pc", "instr", "kind", "policy", "reg", "value", "taint",
         ],
-        "syscall" => &["event", "pc", "number", "name", "result"],
-        "cache_access" => &["event", "level", "addr", "hit"],
-        "decode_cache" => &["event", "page", "kind"],
+        "syscall" => &["event", "pc", "number", "name", "result", "retired"],
         "fault_injected" => &["event", "kind", "detail"],
         "snapshot" => &["event", "pages"],
         "fork" => &["event", "pages_shared", "cow_faults"],
@@ -247,23 +252,27 @@ fn real_run_stream_matches_the_pinned_schema() {
         *counts.entry(name.to_string()).or_insert(0u64) += 1;
     }
 
-    // The attack exercises every variant of the vocabulary.
+    // The attack exercises every variant a plain run can emit.
     for expected in [
-        "retire",
         "taint_source",
         "taint_propagate",
         "pointer_check",
         "alert",
         "syscall",
-        "cache_access",
-        "decode_cache",
     ] {
         assert!(counts.contains_key(expected), "no `{expected}` in stream");
     }
 
-    // The metrics snapshot is consistent with the stream it was fed.
+    // The metrics snapshot is consistent with the stream it was fed, and
+    // its counters are the machine's own.
     let metrics = report.metrics.expect("metrics enabled");
-    assert_eq!(metrics.retired, counts["retire"]);
+    assert_eq!(metrics.retired, outcome.stats.instructions);
+    assert_eq!(
+        metrics.tainted_retired,
+        outcome.stats.tainted_operand_instructions
+    );
+    assert_eq!(metrics.decode_cache.hits, outcome.stats.decode_cache_hits);
+    assert!(metrics.cache[0].hits > 0 && metrics.cache[1].misses > 0);
     assert_eq!(metrics.taint_sources, counts["taint_source"]);
     assert_eq!(metrics.propagations, counts["taint_propagate"]);
     assert_eq!(metrics.pointer_checks, counts["pointer_check"]);
@@ -323,4 +332,25 @@ fn metrics_interval_interleaves_pinned_snapshot_records() {
     for (i, &at) in snapshots.iter().enumerate() {
         assert_eq!(at, (i as u64 + 1) * INTERVAL);
     }
+}
+
+#[test]
+fn a_run_stopped_on_an_interval_boundary_keeps_its_last_record() {
+    // The step limit ends the run right after instruction 100: no step
+    // hook runs after it, so the record at 100 comes from the final poll.
+    let machine = Machine::from_asm("main: b main").unwrap().step_limit(100);
+    let cfg = TraceConfig {
+        metrics_interval: Some(50),
+        ..TraceConfig::default()
+    };
+    let (outcome, _tail, report) = machine.run_with_trace(&cfg);
+    assert_eq!(outcome.reason, ExitReason::StepLimit);
+    let jsonl = String::from_utf8(report.jsonl.expect("jsonl forced on")).unwrap();
+    let stamps: Vec<&str> = jsonl
+        .lines()
+        .filter(|l| l.contains("\"event\":\"metrics_snapshot\""))
+        .map(|l| &l[l.find("\"retired\":").unwrap()..l.find(",\"metrics\"").unwrap()])
+        .collect();
+    assert_eq!(stamps, ["\"retired\":50", "\"retired\":100"], "{jsonl}");
+    assert_eq!(report.metrics.expect("metrics forced on").retired, 100);
 }
